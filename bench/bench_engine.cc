@@ -48,14 +48,12 @@ engine::InstanceScript ScriptFor(size_t i) {
 /// Resume→Drain only (submission cost excluded). Returns events/sec.
 double RunEngine(size_t shards, size_t instances, uint64_t* events_out,
                  obs::GuardProfiler* profiler = nullptr,
-                 engine::EngineMetricsSnapshot* snap_out = nullptr,
-                 bool symbolic_caches = true) {
+                 engine::EngineMetricsSnapshot* snap_out = nullptr) {
   engine::EngineOptions opts;
   opts.shards = shards;
   opts.max_in_flight = 0;  // unbounded: preload everything
   opts.start_paused = true;
   opts.profiler = profiler;
-  opts.symbolic_caches = symbolic_caches;
   engine::Engine eng(TravelEngineSpec(), opts);
   for (size_t i = 0; i < instances; ++i) {
     CDES_CHECK(eng.Submit(ScriptFor(i)).ok());
@@ -156,22 +154,6 @@ void PrintEngineSummary(obs::GuardProfiler* profiler) {
     }
   }
 
-  // Before/after ablation: the same 1-shard run with the symbolic caches
-  // unplugged (pre-PR from-scratch reductions, folds, and evaluations).
-  uint64_t events = 0;
-  double off_rate = RunEngine(1, kInstances, &events, profiler, nullptr,
-                              /*symbolic_caches=*/false);
-  double on_rate =
-      bench::BenchMetrics().gauge("engine.events_per_sec.shards1")->value();
-  bench::BenchMetrics()
-      .gauge("engine.events_per_sec.shards1.caches_off")
-      ->Set(off_rate);
-  bench::BenchMetrics()
-      .gauge("engine.symbolic_cache_speedup.shards1")
-      ->Set(off_rate > 0 ? on_rate / off_rate : 0);
-  std::printf("1 shard, symbolic caches off: %.0f events/sec  =>  caches "
-              "give %.2fx\n",
-              off_rate, off_rate > 0 ? on_rate / off_rate : 0);
   std::printf("\n");
 }
 

@@ -238,10 +238,9 @@ void BM_SteadyStateAssimilationCached(benchmark::State& state) {
 BENCHMARK(BM_SteadyStateAssimilationCached);
 
 /// Steady-state scheduler fixture: one shard-like WorkflowContext hosting
-/// many travel instances back to back. With symbolic_caches on, every
-/// instance after the first assimilates announcements via ReductionCache
-/// hits and replays hold-back folds from memoized prefixes — the shape of a
-/// warm engine shard. Off reproduces the pre-PR from-scratch walks.
+/// many travel instances back to back. Every instance after the first
+/// assimilates announcements via ReductionCache hits and replays hold-back
+/// folds from memoized prefixes — the shape of a warm engine shard.
 struct SteadyStateScheduler {
   WorkflowContext ctx;
   ParsedWorkflow workflow;
@@ -256,13 +255,11 @@ struct SteadyStateScheduler {
     }
   }
 
-  size_t RunInstance(bool symbolic_caches) {
+  size_t RunInstance() {
     Simulator sim;
     NetworkOptions nopts;
     Network net(&sim, 2, nopts);
-    GuardSchedulerOptions options;
-    options.symbolic_caches = symbolic_caches;
-    GuardScheduler sched(&ctx, workflow, &net, options);
+    GuardScheduler sched(&ctx, workflow, &net);
     for (EventLiteral lit : attempts) {
       sched.Attempt(lit, {});
       sim.Run();
@@ -271,20 +268,11 @@ struct SteadyStateScheduler {
   }
 };
 
-void BM_SteadyStateInstanceUncached(benchmark::State& state) {
-  SteadyStateScheduler fx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.RunInstance(false));
-  }
-  state.SetLabel("pre-PR: from-scratch reductions and hold-back folds");
-}
-BENCHMARK(BM_SteadyStateInstanceUncached);
-
 void BM_SteadyStateInstanceCached(benchmark::State& state) {
   SteadyStateScheduler fx;
-  fx.RunInstance(true);  // warm the shard-shared caches
+  fx.RunInstance();  // warm the shard-shared caches
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.RunInstance(true));
+    benchmark::DoNotOptimize(fx.RunInstance());
   }
   state.SetLabel("warm shard: memoized reductions + flat evaluation");
 }
@@ -328,30 +316,19 @@ void RecordSteadyStateGauges() {
   {
     SteadyStateScheduler fx;
     const int kRounds = 3000;
+    fx.RunInstance();  // warm
     auto t0 = Clock::now();
     for (int i = 0; i < kRounds; ++i) {
-      benchmark::DoNotOptimize(fx.RunInstance(false));
+      benchmark::DoNotOptimize(fx.RunInstance());
     }
     auto t1 = Clock::now();
-    fx.RunInstance(true);  // warm
-    auto t2 = Clock::now();
-    for (int i = 0; i < kRounds; ++i) {
-      benchmark::DoNotOptimize(fx.RunInstance(true));
-    }
-    auto t3 = Clock::now();
-    double uncached_ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() / kRounds;
     double cached_ns =
-        std::chrono::duration<double, std::nano>(t3 - t2).count() / kRounds;
-    m.gauge("precompilation.steady_state_instance_uncached_ns")
-        ->Set(uncached_ns);
+        std::chrono::duration<double, std::nano>(t1 - t0).count() / kRounds;
     m.gauge("precompilation.steady_state_instance_cached_ns")->Set(cached_ns);
-    m.gauge("precompilation.steady_state_instance_speedup")
-        ->Set(cached_ns > 0 ? uncached_ns / cached_ns : 0);
     std::printf(
-        "steady-state instance: %.0f ns uncached, %.0f ns cached  =>  %.2fx "
-        "(full scheduler turn incl. simulated messaging)\n",
-        uncached_ns, cached_ns, uncached_ns / cached_ns);
+        "steady-state instance: %.0f ns (warm shard; full scheduler turn "
+        "incl. simulated messaging)\n",
+        cached_ns);
   }
 }
 

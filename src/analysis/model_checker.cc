@@ -43,9 +43,9 @@ class ModelChecker {
         workflow_(workflow),
         compiled_(compiled),
         options_(options),
-        space_(ctx, compiled, options.symbolic_caches),
-        cache_(options.symbolic_caches ? ctx->reduction_cache() : nullptr),
-        flat_(options.symbolic_caches ? ctx->flat_evaluator() : nullptr) {}
+        space_(ctx, compiled),
+        cache_(ctx->reduction_cache()),
+        flat_(ctx->flat_evaluator()) {}
 
   CheckResult Run() {
     auto start = std::chrono::steady_clock::now();
@@ -342,9 +342,9 @@ class ModelChecker {
                         Announcement{AnnouncementKind::kOccurred, step},
                         cache_);
       }
-      const Guard* commit = flat_ != nullptr ? flat_->Commit(ctx_->guards(), g)
-                                             : CommitNow(ctx_->guards(), g);
-      if (commit->IsFalse()) return static_cast<int>(dep);
+      if (flat_->Commit(ctx_->guards(), g)->IsFalse()) {
+        return static_cast<int>(dep);
+      }
     }
     return -1;
   }
@@ -425,8 +425,8 @@ class ModelChecker {
   const CompiledWorkflow& compiled_;
   const ModelCheckOptions& options_;
   StateSpace space_;
-  ReductionCache* cache_ = nullptr;  // null ⇔ options_.symbolic_caches off
-  FlatEvaluator* flat_ = nullptr;
+  ReductionCache* cache_;
+  FlatEvaluator* flat_;
 
   std::unordered_map<CheckState, uint32_t, CheckStateHash> ids_;
   std::vector<StateRecord> records_;

@@ -34,12 +34,6 @@ struct ModelCheckOptions {
   /// Cap on emitted counterexample diagnostics per rule and direction
   /// (every reachable bad state is still *counted* in the stats).
   size_t max_counterexamples = 4;
-  /// Route guard reductions through the context's shard-shared
-  /// ReductionCache and CommitNow projections through the flat-evaluation
-  /// memo. Findings and stats are identical either way (successor states
-  /// are interned pointers; the equivalence property tests pin it) — the
-  /// switch exists for those tests and the before/after benchmarks.
-  bool symbolic_caches = true;
 };
 
 struct ModelCheckStats {

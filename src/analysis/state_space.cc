@@ -27,11 +27,9 @@ size_t CheckStateHash::operator()(const CheckState& s) const {
   return h;
 }
 
-StateSpace::StateSpace(WorkflowContext* ctx, const CompiledWorkflow& compiled,
-                       bool symbolic_caches)
-    : ctx_(ctx), compiled_(compiled),
-      cache_(symbolic_caches ? ctx->reduction_cache() : nullptr),
-      flat_(symbolic_caches ? ctx->flat_evaluator() : nullptr) {
+StateSpace::StateSpace(WorkflowContext* ctx, const CompiledWorkflow& compiled)
+    : ctx_(ctx), compiled_(compiled), cache_(ctx->reduction_cache()),
+      flat_(ctx->flat_evaluator()) {
   symbols_.assign(compiled.symbols().begin(), compiled.symbols().end());
   CDES_CHECK_LE(symbols_.size(), 64u);
   for (size_t i = 0; i < symbols_.size(); ++i) symbol_index_[symbols_[i]] = i;
@@ -83,9 +81,7 @@ const Guard* StateSpace::Commitment(const CheckState& s,
   if (!GuardAlive(s)) return ctx_->guards()->False();
   size_t i = SymbolIndex(lit.symbol());
   CDES_DCHECK(!(s.decided >> i & 1));
-  const Guard* g = s.guards[2 * i + lit.complemented()];
-  return flat_ != nullptr ? flat_->Commit(ctx_->guards(), g)
-                          : CommitNow(ctx_->guards(), g);
+  return flat_->Commit(ctx_->guards(), s.guards[2 * i + lit.complemented()]);
 }
 
 CheckState StateSpace::Successor(const CheckState& s, EventLiteral lit) const {
@@ -104,8 +100,7 @@ CheckState StateSpace::Successor(const CheckState& s, EventLiteral lit) const {
     // commitment; the fired literal itself counts toward its own ◇-part
     // (◇ is evaluated against the full maximal trace).
     const Guard* frozen =
-        flat_ != nullptr ? flat_->Commit(arena, s.guards[2 * i + lit.complemented()])
-                         : CommitNow(arena, s.guards[2 * i + lit.complemented()]);
+        flat_->Commit(arena, s.guards[2 * i + lit.complemented()]);
     child.commitment = ReduceGuard(arena, residuator,
                                    arena->And(s.commitment, frozen), occurred,
                                    cache_);

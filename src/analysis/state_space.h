@@ -64,12 +64,10 @@ struct CheckStateHash {
 class StateSpace {
  public:
   /// Aliases `ctx` and `compiled`; both must outlive the state space.
-  /// `symbolic_caches` routes guard reduction through the context's
-  /// shard-shared ReductionCache and CommitNow through the flat evaluator's
-  /// memo; off reproduces the plain recursive walks (successor states are
-  /// bitwise identical either way — the equivalence property tests pin it).
-  StateSpace(WorkflowContext* ctx, const CompiledWorkflow& compiled,
-             bool symbolic_caches = true);
+  /// Guard reduction goes through the context's shard-shared
+  /// ReductionCache and CommitNow through the flat evaluator's memo
+  /// (symbolic_cache_test checks both against the plain recursive walks).
+  StateSpace(WorkflowContext* ctx, const CompiledWorkflow& compiled);
 
   /// The workflow's symbols in id order; state bit i refers to symbols()[i].
   const std::vector<SymbolId>& symbols() const { return symbols_; }
@@ -139,8 +137,8 @@ class StateSpace {
 
   WorkflowContext* ctx_;
   const CompiledWorkflow& compiled_;
-  ReductionCache* cache_ = nullptr;  // null ⇒ unmemoized reduction
-  FlatEvaluator* flat_ = nullptr;    // null ⇒ recursive CommitNow
+  ReductionCache* cache_;
+  FlatEvaluator* flat_;
   std::vector<SymbolId> symbols_;
   std::unordered_map<SymbolId, size_t> symbol_index_;
   std::vector<const Expr*> deps_;  // normal forms, spec order

@@ -175,7 +175,6 @@ Engine::Engine(EngineSpecRef spec, const EngineOptions& options)
     sopts.enable_promises = options_.enable_promises;
     sopts.auto_trigger = options_.auto_trigger;
     sopts.simplify_guards = options_.simplify_guards;
-    sopts.symbolic_caches = options_.symbolic_caches;
     sopts.durable_logs = options_.durable_logs;
     sopts.wal_dir = options_.wal_dir;
     sopts.checkpoint_every = options_.checkpoint_every;

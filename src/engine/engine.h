@@ -42,9 +42,6 @@ struct EngineOptions {
   bool enable_promises = true;
   bool auto_trigger = true;
   bool simplify_guards = true;
-  /// Shard-shared symbolic caches (reduction memo + flat evaluation); off
-  /// reproduces pre-memoization behavior for ablation benchmarks.
-  bool symbolic_caches = true;
   /// Keep one EventLog per instance and return its serialized form in the
   /// InstanceResult, enabling Engine::Recover after a crash.
   bool durable_logs = false;
@@ -73,10 +70,11 @@ struct EngineOptions {
   /// so an ordinary TraceRecorder is safe despite the multi-threaded
   /// engine.
   obs::TraceRecorder* tracer = nullptr;
-  /// When set, every shard's resident schedulers attribute guard
-  /// evaluations to it. GuardProfiler is internally thread-safe (atomic
-  /// record path), so one profiler shared by all shards is the intended
-  /// shape.
+  /// When set, every shard's resident schedulers attribute their guard
+  /// firability checks to it, on the same evaluation path as without one
+  /// (see GuardSchedulerOptions::profiler). GuardProfiler is internally
+  /// thread-safe (atomic record path), so one profiler shared by all shards
+  /// is the intended shape.
   obs::GuardProfiler* profiler = nullptr;
   /// Turn on per-instance lifecycle histograms in the shard registries
   /// (sched.decision_latency_us, sched.guard_reduction_steps, ...). Off by

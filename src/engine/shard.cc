@@ -180,7 +180,6 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
   sopts.enable_promises = options_.enable_promises;
   sopts.auto_trigger = options_.auto_trigger;
   sopts.simplify_guards = options_.simplify_guards;
-  sopts.symbolic_caches = options_.symbolic_caches;
   sopts.metrics = &metrics_;
   sopts.lifecycle_instrumentation = options_.lifecycle_metrics;
   sopts.profiler = options_.profiler;

@@ -44,9 +44,6 @@ struct ShardOptions {
   bool enable_promises = true;
   bool auto_trigger = true;
   bool simplify_guards = true;
-  /// Shard-shared symbolic caches (reduction memo + flat evaluation); off
-  /// reproduces pre-memoization behavior for ablation benchmarks.
-  bool symbolic_caches = true;
   /// Keep a per-instance EventLog and ship its serialized form in the
   /// result (enables Engine::Recover).
   bool durable_logs = false;

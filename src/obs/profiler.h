@@ -26,7 +26,8 @@ inline uint64_t ProfilerNowNs() {
 
 /// A snapshot of one profiled guard site: the cost attributable to a single
 /// (dependency, event) pair — either synthesizing that dependency's guard
-/// contribution at compile time or re-evaluating it at run time.
+/// contribution at compile time or its share of the event's firability
+/// checks at run time. `nodes_visited` counts guard nodes newly interned.
 struct GuardSiteStats {
   std::string dependency;
   std::string event;
@@ -74,7 +75,7 @@ SymbolicCacheStats CacheStatsFrom(const MetricsRegistry& metrics);
 /// Per-guard-site cost accounting keyed by (dependency, event), with spec
 /// source attribution threaded from the parser. One profiler is shared by
 /// every component that evaluates guards of a workflow — the compiler
-/// (synthesis cost), schedulers (assimilation cost), and all engine shards.
+/// (synthesis cost), schedulers (firability checks), and all engine shards.
 ///
 /// Thread model: RegisterSite takes a mutex and deduplicates by key, so
 /// shards compiling the same workflow share sites (cold path — once per

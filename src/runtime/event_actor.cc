@@ -46,19 +46,18 @@ EventActor::EventActor(ActorHost* host, SymbolId symbol, int site,
       positive_guard_(positive_guard), negative_guard_(negative_guard),
       positive_attrs_(positive_attrs), negative_attrs_(negative_attrs),
       obs_(obs), cache_(host->reduction_cache()),
-      flat_(host->flat_evaluator()), incremental_(cache_ != nullptr) {}
-
-bool EventActor::Evaluate(const Guard* g) const {
-  return flat_ != nullptr ? flat_->EvaluateNow(g) : EvaluateNow(g);
+      flat_(host->flat_evaluator()) {
+  CDES_DCHECK(cache_ != nullptr && flat_ != nullptr);
 }
 
-const Guard* EventActor::HeardFold(EventLiteral literal) const {
+const Guard* EventActor::HeardResidual(EventLiteral literal) const {
   std::vector<const Guard*>& chain =
       literal.complemented() ? neg_chain_ : pos_chain_;
   if (chain.empty()) chain.push_back(CompiledGuard(literal));
   // Extend the memoized prefix: only arrivals past the chain's current
   // length are folded, each exactly once over the actor's lifetime (absent
-  // out-of-order truncation).
+  // out-of-order truncation). Occurrences must be assimilated in stamp
+  // order for ◇E residuation to be sound; heard_ is kept sorted by stamp.
   while (chain.size() <= heard_.size()) {
     const auto& [stamp, occurred] = heard_[chain.size() - 1];
     chain.push_back(ReduceGuard(host_->guard_arena(), host_->residuator(),
@@ -83,65 +82,60 @@ const Guard* EventActor::CurrentGuard(EventLiteral literal) const {
   if (obs_ != nullptr && obs_->reduction_steps != nullptr) {
     obs_->reduction_steps->Observe(heard_.size() + promises_.size());
   }
-  if (incremental_ && profile_ == nullptr) {
-    size_t slot = literal.complemented() ? 1 : 0;
-    if (current_memo_version_[slot] == version_) return current_memo_[slot];
-    const Guard* g = HeardFold(literal);
-    for (const auto& [promised, after] : promises_) {
-      g = ReduceGuard(host_->guard_arena(), host_->residuator(), g,
-                      {AnnouncementKind::kPromised, promised}, cache_);
-    }
-    g = DischargeDiamonds(g);
-    current_memo_[slot] = g;
-    current_memo_version_[slot] = version_;
-    return g;
-  }
-  if (profile_ != nullptr) {
-    const std::vector<GuardProfile::Contribution>& contribs =
-        literal.complemented() ? profile_->negative : profile_->positive;
-    if (!contribs.empty()) {
-      std::vector<const Guard*> reduced;
-      reduced.reserve(contribs.size());
-      for (const GuardProfile::Contribution& c : contribs) {
-        bool sampled = profile_->profiler->BeginEvaluation(c.site);
-        uint64_t t0 = sampled ? obs::ProfilerNowNs() : 0;
-        uint64_t steps0 = host_->residuator()->residuate_calls();
-        uint64_t nodes = 0;
-        reduced.push_back(ReduceContribution(c.guard, &nodes));
-        profile_->profiler->Record(
-            c.site, host_->residuator()->residuate_calls() - steps0, nodes,
-            sampled ? obs::ProfilerNowNs() - t0 : 0, sampled);
-      }
-      // And() re-canonicalizes to the same node the unprofiled fold below
-      // yields; DischargeDiamonds cost is not attributed to any one site.
-      return DischargeDiamonds(host_->guard_arena()->And(reduced));
-    }
-  }
-  const Guard* g = CompiledGuard(literal);
-  // Occurrences must be assimilated in stamp order for ◇E residuation to be
-  // sound; heard_ is kept sorted by stamp.
-  for (const auto& [stamp, occurred] : heard_) {
-    g = ReduceGuard(host_->guard_arena(), host_->residuator(), g,
-                    {AnnouncementKind::kOccurred, occurred});
-  }
+  size_t slot = literal.complemented() ? 1 : 0;
+  if (current_memo_version_[slot] == version_) return current_memo_[slot];
+  const Guard* g = HeardResidual(literal);
   for (const auto& [promised, after] : promises_) {
     g = ReduceGuard(host_->guard_arena(), host_->residuator(), g,
-                    {AnnouncementKind::kPromised, promised});
+                    {AnnouncementKind::kPromised, promised}, cache_);
   }
-  return DischargeDiamonds(g);
+  g = DischargeDiamonds(g);
+  current_memo_[slot] = g;
+  current_memo_version_[slot] = version_;
+  return g;
 }
 
-const Guard* EventActor::ReduceContribution(const Guard* g,
-                                            uint64_t* nodes) const {
-  for (const auto& [stamp, occurred] : heard_) {
-    g = ReduceGuardCounted(host_->guard_arena(), host_->residuator(), g,
-                           {AnnouncementKind::kOccurred, occurred}, nodes);
+bool EventActor::Firable(EventLiteral literal, const Guard** reduced) const {
+  auto check = [&] {
+    if (FastPermitted(literal)) return true;
+    *reduced = CurrentGuard(literal);
+    return flat_->EvaluateNow(*reduced);
+  };
+  if (profile_ == nullptr) return check();
+  const std::vector<GuardProfile::Share>& shares =
+      literal.complemented() ? profile_->negative : profile_->positive;
+  if (shares.empty()) return check();
+  // One evaluation per site; the first site's sampling stride decides
+  // whether this check is wall-timed for all of them.
+  obs::GuardProfiler* profiler = profile_->profiler;
+  bool sampled = profiler->BeginEvaluation(shares[0].site);
+  for (size_t k = 1; k < shares.size(); ++k) {
+    profiler->BeginEvaluation(shares[k].site);
   }
-  for (const auto& [promised, after] : promises_) {
-    g = ReduceGuardCounted(host_->guard_arena(), host_->residuator(), g,
-                           {AnnouncementKind::kPromised, promised}, nodes);
+  uint64_t t0 = sampled ? obs::ProfilerNowNs() : 0;
+  uint64_t steps0 = host_->residuator()->residuate_calls();
+  uint64_t nodes0 = host_->guard_arena()->node_count();
+  bool permitted = check();
+  uint64_t steps = host_->residuator()->residuate_calls() - steps0;
+  uint64_t nodes = host_->guard_arena()->node_count() - nodes0;
+  uint64_t wall = sampled ? obs::ProfilerNowNs() - t0 : 0;
+  // Split by flat-op share; cumulative rounding keeps the per-site parts
+  // summing to the check's totals.
+  uint64_t total_ops = 0;
+  for (const GuardProfile::Share& s : shares) total_ops += s.flat_ops;
+  uint64_t ops = 0, steps_done = 0, nodes_done = 0, wall_done = 0;
+  for (const GuardProfile::Share& s : shares) {
+    ops += s.flat_ops;
+    uint64_t steps_to = steps * ops / total_ops;
+    uint64_t nodes_to = nodes * ops / total_ops;
+    uint64_t wall_to = wall * ops / total_ops;
+    profiler->Record(s.site, steps_to - steps_done, nodes_to - nodes_done,
+                     wall_to - wall_done, sampled);
+    steps_done = steps_to;
+    nodes_done = nodes_to;
+    wall_done = wall_to;
   }
-  return g;
+  return permitted;
 }
 
 bool EventActor::FastPermitted(EventLiteral literal) const {
@@ -153,7 +147,6 @@ bool EventActor::FastPermitted(EventLiteral literal) const {
   // which flips the optimistic outcome. Guards containing ◇ carry residual
   // obligations whose discharge depends on fold order and held promises, so
   // they take the reduced-guard path.
-  if (!incremental_ || flat_ == nullptr || profile_ != nullptr) return false;
   const FlatProgram& p = flat_->ProgramFor(CompiledGuard(literal));
   if (p.has_diamond) return false;
   return p.EvaluateHeard(
@@ -269,13 +262,8 @@ void EventActor::Attempt(EventLiteral literal, AttemptCallback done) {
                                         : Decision::kRejected);
     return;
   }
-  if (FastPermitted(literal)) {
-    Occur(literal);
-    if (done) done(Decision::kAccepted);
-    return;
-  }
-  const Guard* g = CurrentGuard(literal);
-  if (Evaluate(g)) {
+  const Guard* g = nullptr;
+  if (Firable(literal, &g)) {
     Occur(literal);
     if (done) done(Decision::kAccepted);
     return;
@@ -335,24 +323,11 @@ void EventActor::RestoreOccurrence(EventLiteral literal) {
   decided_ = literal;
 }
 
-const Guard* EventActor::HeardResidual(EventLiteral literal) const {
-  if (incremental_) return HeardFold(literal);
-  const Guard* g = CompiledGuard(literal);
-  for (const auto& [stamp, occurred] : heard_) {
-    g = ReduceGuard(host_->guard_arena(), host_->residuator(), g,
-                    {AnnouncementKind::kOccurred, occurred});
-  }
-  return g;
-}
-
 void EventActor::RestoreBaseline(const Guard* positive, const Guard* negative) {
   CDES_CHECK(!decided_ && heard_.empty() && parked_.empty())
       << "baseline restore requires a fresh actor";
   positive_guard_ = positive;
   negative_guard_ = negative;
-  // Profiler contributions decompose the *compiled* guards; against a
-  // checkpointed baseline they would re-conjoin to the wrong guard.
-  profile_ = nullptr;
   // Fold chains anchor at the (replaced) baseline; drop any chain[0]
   // initialized through an earlier introspective CurrentGuard call.
   pos_chain_.clear();
@@ -368,19 +343,11 @@ void EventActor::Receive(const RuntimeMessage& msg) {
       // retransmission racing its ack) must be dropped here — folding it
       // into CurrentGuard again would residuate ◇-sequences by an event
       // that occurred only once, corrupting the reduced guard.
-      if (incremental_) {
-        if (!heard_literals_.insert(msg.literal).second) return;
-      } else {
-        for (const auto& [stamp, occurred] : heard_) {
-          if (occurred == msg.literal) return;
-        }
-      }
+      if (!heard_literals_.insert(msg.literal).second) return;
       auto entry = std::make_pair(msg.stamp, msg.literal);
       auto pos = std::upper_bound(heard_.begin(), heard_.end(), entry);
-      if (incremental_) {
-        TruncateFoldChains(static_cast<size_t>(pos - heard_.begin()));
-        ++version_;
-      }
+      TruncateFoldChains(static_cast<size_t>(pos - heard_.begin()));
+      ++version_;
       heard_.insert(pos, entry);
       ReviewObligations();
       Reevaluate();
@@ -434,16 +401,8 @@ void EventActor::Reevaluate() {
   while (changed && !decided_) {
     changed = false;
     for (size_t i = 0; i < parked_.size(); ++i) {
-      if (FastPermitted(parked_[i].literal)) {
-        Parked p = std::move(parked_[i]);
-        parked_.erase(parked_.begin() + i);
-        Occur(p.literal);
-        if (p.done) p.done(Decision::kAccepted);
-        changed = true;
-        break;  // decided_: remaining parked resolved by Occur
-      }
-      const Guard* g = CurrentGuard(parked_[i].literal);
-      if (Evaluate(g)) {
+      const Guard* g = nullptr;
+      if (Firable(parked_[i].literal, &g)) {
         Parked p = std::move(parked_[i]);
         parked_.erase(parked_.begin() + i);
         Occur(p.literal);
@@ -554,7 +513,7 @@ bool EventActor::TryAnswerPromiseRequest(const RuntimeMessage& request) {
     // ¬-atoms are tolerated because, for synthesized guards, an event that
     // could falsify them is itself ordered after us (the verifier's
     // race-freedom property); residual ◇/□-atoms still block the grant.
-    if (!Evaluate(hypothetical)) return false;
+    if (!flat_->EvaluateNow(hypothetical)) return false;
     promises_made_.insert(made);
     // The promise carries order guarantees: our □-obligations and the
     // requester necessarily precede our occurrence.
@@ -604,8 +563,8 @@ bool EventActor::TryAnswerPromiseRequest(const RuntimeMessage& request) {
     promises_made_.insert(made);
     // Adopt the requester's residual as received; ReviewObligations folds
     // the occurrence log into it in stamp order (through the prefix-fold
-    // chain on the incremental path — see there for why that is safe where
-    // a single stored residual was not).
+    // chain — see there for why that is safe where a single stored residual
+    // was not).
     obligations_.push_back(Obligation{request.need, request.literal, {}});
     RuntimeMessage promise{RuntimeMessageKind::kPromise, request.literal,
                            OccurrenceStamp{}, EventLiteral(),
@@ -633,26 +592,16 @@ void EventActor::ReviewObligations() {
   // out-of-order insertion at index i truncates the chain to i+1 entries
   // (Receive/TruncateFoldChains) before anything past the insertion point
   // is reused — so re-evaluation folds only new arrivals while reproducing
-  // the from-scratch stamp-order fold exactly. The non-incremental path
-  // keeps the original full refold.
+  // the from-scratch stamp-order fold exactly.
   std::vector<Obligation> remaining;
   std::vector<EventLiteral> to_trigger;
   for (Obligation& ob : obligations_) {
-    const Expr* residual;
-    if (incremental_) {
-      if (ob.chain.empty()) ob.chain.push_back(ob.need);
-      while (ob.chain.size() <= heard_.size()) {
-        residual = host_->residuator()->Residuate(
-            ob.chain.back(), heard_[ob.chain.size() - 1].second);
-        ob.chain.push_back(residual);
-      }
-      residual = ob.chain[heard_.size()];
-    } else {
-      residual = ob.need;
-      for (const auto& [stamp, occurred] : heard_) {
-        residual = host_->residuator()->Residuate(residual, occurred);
-      }
+    if (ob.chain.empty()) ob.chain.push_back(ob.need);
+    while (ob.chain.size() <= heard_.size()) {
+      ob.chain.push_back(host_->residuator()->Residuate(
+          ob.chain.back(), heard_[ob.chain.size() - 1].second));
     }
+    const Expr* residual = ob.chain[heard_.size()];
     if (residual->IsTop()) continue;  // some alternative materialized
     if (decided_) continue;           // our symbol is settled either way
     const Expr* without_us = PruneImpossibleLiteral(

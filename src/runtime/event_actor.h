@@ -54,31 +54,29 @@ class ActorHost {
   virtual GuardArena* guard_arena() = 0;
   virtual Residuator* residuator() = 0;
 
-  /// Shard-shared symbolic caches (see guards/context.h). Null (the
-  /// default) disables memoization: actors then re-fold guards from scratch
-  /// on every evaluation — the reference behavior the equivalence property
-  /// tests compare against.
-  virtual ReductionCache* reduction_cache() { return nullptr; }
-  virtual FlatEvaluator* flat_evaluator() { return nullptr; }
+  /// Shard-shared symbolic caches (see guards/context.h): the reduction
+  /// memo every assimilation goes through and the flat evaluator that
+  /// decides firability. Both must be non-null.
+  virtual ReductionCache* reduction_cache() = 0;
+  virtual FlatEvaluator* flat_evaluator() = 0;
 };
 
 /// Per-actor profiling attachment, built by the owning scheduler when a
-/// GuardProfiler is configured: the literal's compiled guard split back
-/// into its per-dependency contributions (CompiledWorkflow keeps them),
-/// each tagged with its profiler site. CurrentGuard then reduces every
-/// contribution separately — so cost is attributed to the owning
-/// (dependency, event) pair — and re-conjoins them; ReduceGuard distributes
-/// over And and the arena's And canonicalization is deterministic, so the
-/// re-conjoined guard is the same hash-consed node the unprofiled path
-/// produces.
+/// GuardProfiler is configured: for each literal, the (dependency, event)
+/// sites of the dependencies contributing to its compiled guard, each
+/// weighted by the op count of its contribution's FlatProgram. Every
+/// firability check of a literal counts one evaluation at each of its
+/// sites; the check's residuation steps, new guard nodes, and sampled wall
+/// time are split across the sites by those weights. The profiler only
+/// reads counters around the check, which runs exactly as unprofiled.
 struct GuardProfile {
-  struct Contribution {
+  struct Share {
     obs::GuardProfiler::Site* site;
-    const Guard* guard;
+    uint64_t flat_ops;
   };
   obs::GuardProfiler* profiler = nullptr;
-  std::vector<Contribution> positive;
-  std::vector<Contribution> negative;
+  std::vector<Share> positive;
+  std::vector<Share> negative;
 };
 
 /// The active entity instantiated for each event type (§2): maintains the
@@ -125,25 +123,30 @@ class EventActor {
   /// checkpoint snapshots exactly these residuals (runtime/checkpoint.h);
   /// because residuation is a left fold, folding the heard prefix here and
   /// the replayed suffix after recovery equals folding the whole history.
+  ///
+  /// Read through the per-polarity prefix-fold chain. Chains are safe to
+  /// memoize *per ordered-prefix position*: chain[k] depends only on the
+  /// first k stamp-ordered entries, and an out-of-order arrival inserted at
+  /// index i truncates every chain to length i+1 before any entry past the
+  /// insertion point is reused.
   const Guard* HeardResidual(EventLiteral literal) const;
 
   /// Recovery: replaces the compiled baseline guards with checkpoint
   /// residuals. Only valid on a fresh actor (nothing decided, heard, or
-  /// parked); detaches any profiler attachment, whose per-dependency
-  /// contributions conjoin to the *compiled* guards and would misattribute
-  /// against a checkpointed baseline.
+  /// parked).
   void RestoreBaseline(const Guard* positive, const Guard* negative);
 
   /// Whether a reduced guard licenses occurrence *now*: ¬ℓ atoms count as
   /// true while ℓ is unheard (the event has not yet occurred), whereas
   /// □/◇ atoms require positive knowledge (an announcement or a promise).
   /// This optimistic ¬-evaluation is the per-event agreement the paper
-  /// flags in §4.3; see DESIGN.md for the soundness discussion.
+  /// flags in §4.3; see DESIGN.md for the soundness discussion. The
+  /// recursive walk is the reference the flat evaluator (which the actor
+  /// itself uses) is tested against.
   static bool EvaluateNow(const Guard* g);
 
   /// Attaches per-dependency profiling (nullptr to detach). `profile` must
-  /// outlive the actor; its guards must conjoin to this actor's compiled
-  /// guards.
+  /// outlive the actor.
   void set_profile(const GuardProfile* profile) { profile_ = profile; }
 
   bool decided() const { return decided_.has_value(); }
@@ -163,8 +166,8 @@ class EventActor {
   /// A deferred trigger obligation (promise-backed, see
   /// TryAnswerPromiseRequest): the adopted residual, the literal to trigger
   /// when it is the only way left, and the memoized prefix-fold chain —
-  /// chain[k] = need residuated by heard_[0..k), maintained only on the
-  /// incremental path (see ReviewObligations for the order-safety argument).
+  /// chain[k] = need residuated by heard_[0..k) (see ReviewObligations for
+  /// the order-safety argument).
   struct Obligation {
     const Expr* need;
     EventLiteral literal;
@@ -175,20 +178,11 @@ class EventActor {
     return literal.complemented() ? negative_guard_ : positive_guard_;
   }
 
-  /// The heard_/promises_ fold of CurrentGuard over one contribution,
-  /// counting visited guard nodes into `*nodes`.
-  const Guard* ReduceContribution(const Guard* g, uint64_t* nodes) const;
-
-  /// The compiled guard folded by heard_[0..heard_.size()) — through the
-  /// per-polarity prefix-fold chain on the incremental path, from scratch
-  /// otherwise. Chains are safe to memoize *per ordered-prefix position*:
-  /// chain[k] depends only on the first k stamp-ordered entries, and an
-  /// out-of-order arrival inserted at index i truncates every chain to
-  /// length i+1 before any entry past the insertion point is reused.
-  const Guard* HeardFold(EventLiteral literal) const;
-
-  /// EvaluateNow through the flat evaluator when the host provides one.
-  bool Evaluate(const Guard* g) const;
+  /// One firability check of `literal`: FastPermitted, else the memoized
+  /// CurrentGuard (stored in `*reduced`; the fast path leaves it null)
+  /// under the flat EvaluateNow. With a profile attached the check is
+  /// charged to the literal's sites.
+  bool Firable(EventLiteral literal, const Guard** reduced) const;
 
   /// True when `literal` is licensed right now by the flat bitmask
   /// evaluation of its ◇-free compiled guard against the heard set —
@@ -242,12 +236,9 @@ class EventActor {
   const obs::ActorObs* obs_;
   const GuardProfile* profile_ = nullptr;
   /// Host capabilities resolved once at construction (virtual calls off the
-  /// hot path). Null cache_ ⇒ the from-scratch reference behavior.
-  ReductionCache* cache_ = nullptr;
-  FlatEvaluator* flat_ = nullptr;
-  /// True when cache_ is set: prefix-fold chains, the CurrentGuard version
-  /// memo, and the heard-literal dedup set are maintained.
-  bool incremental_ = false;
+  /// hot path).
+  ReductionCache* cache_;
+  FlatEvaluator* flat_;
 
   std::optional<EventLiteral> decided_;
   /// (stamp, literal) occurrences heard, kept sorted by stamp.
@@ -266,7 +257,7 @@ class EventActor {
   std::vector<Obligation> obligations_;
   bool reevaluating_ = false;
 
-  // ---- Incremental-evaluation state (maintained only when incremental_).
+  // ---- Memoized evaluation state.
   /// O(1) duplicate-announcement detection (mirror of heard_'s literals).
   std::unordered_set<EventLiteral, EventLiteralHash> heard_literals_;
   /// Per-polarity prefix-fold chains: chain[k] = compiled guard reduced by

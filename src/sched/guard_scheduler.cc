@@ -72,7 +72,7 @@ void GuardScheduler::Init(const ParsedWorkflow& workflow,
     actor_obs_.parked_depth = metrics_->histogram("sched.parked_depth");
     actor_obs_.parks = metrics_->counter("sched.parks");
   }
-  if (options.symbolic_caches && options.metrics != nullptr) {
+  if (options.metrics != nullptr) {
     // Cache effectiveness counters land next to the sched.* metrics. The
     // cache is per-context (per shard), so with many instance schedulers
     // sharing a context and registry this re-binds the same counters.
@@ -144,20 +144,20 @@ Status GuardScheduler::Install(const CompiledWorkflow& compiled,
     if (actor_index_.size() <= symbol) actor_index_.resize(symbol + 1, nullptr);
     actor_index_[symbol] = actors_[symbol].get();
     if (options_.profiler != nullptr) {
-      // Split the compiled conjunction back into its per-dependency
-      // contributions, each registered (deduplicated profiler-wide) as a
-      // (dependency, event) site carrying the dependency's spec location.
+      // One (dependency, event) site per contribution to the compiled
+      // conjunction (deduplicated profiler-wide, carrying the dependency's
+      // spec location), weighted by the contribution's flat-op count.
       GuardProfile& profile = profiles_[symbol];
       profile.profiler = options_.profiler;
       for (EventLiteral l : {pos, neg_lit}) {
-        std::vector<GuardProfile::Contribution>& dst =
+        std::vector<GuardProfile::Share>& dst =
             l.complemented() ? profile.negative : profile.positive;
         for (const auto& [di, g] : compiled.ContributionsFor(l)) {
           const Dependency& dep = compiled.dependencies()[di];
-          dst.push_back(GuardProfile::Contribution{
+          dst.push_back(GuardProfile::Share{
               options_.profiler->RegisterSite(
                   dep.name, ctx_->alphabet()->LiteralName(l), dep.loc),
-              g});
+              FlatProgram::Lower(g).ops.size()});
         }
       }
       actors_[symbol]->set_profile(&profile);

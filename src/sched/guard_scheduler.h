@@ -26,15 +26,6 @@ struct GuardSchedulerOptions {
   bool auto_trigger = true;
   /// Enable the conditional-promise consensus of Example 11.
   bool enable_promises = true;
-  /// Memoized symbolic evaluation: actors use the context's shard-shared
-  /// ReductionCache (assimilation becomes a hash probe after first touch),
-  /// prefix-fold chains for the hold-back replay and trigger obligations,
-  /// and the flat compiled evaluator for EvaluateNow and the ◇-free bitmask
-  /// fast path. Off reproduces the from-scratch reference behavior —
-  /// histories are identical either way (equivalence property tests pin
-  /// this); the switch exists for those tests and for the before/after
-  /// benchmarks.
-  bool symbolic_caches = true;
   /// Estimated bytes per runtime message, for network accounting.
   size_t message_bytes = 48;
   /// Tuning for the reliable-delivery layer every protocol message rides
@@ -56,11 +47,12 @@ struct GuardSchedulerOptions {
   /// branch-on-null.
   obs::TraceRecorder* tracer = nullptr;
   /// When set, guard evaluations are profiled per (dependency, event) site:
-  /// actors evaluate each dependency's contribution separately and charge
-  /// its reduction steps / visited nodes / sampled wall time to the shared
-  /// profiler. Null ⇒ the split-evaluation path is never taken and costs
-  /// nothing. The profiler may be shared across schedulers and threads
-  /// (engine shards register into one).
+  /// every firability check an actor makes counts one evaluation at each
+  /// site of the literal, and the check's residuation steps, new guard
+  /// nodes, and sampled wall time are split across those sites by their
+  /// contributions' flat-op shares. The check itself runs the same path as
+  /// without a profiler. The profiler may be shared across schedulers and
+  /// threads (engine shards register into one).
   obs::GuardProfiler* profiler = nullptr;
   /// Trace id stamped (with a fresh span id) on every protocol message when
   /// a tracer is installed, so announcements, promises, and retransmits
@@ -213,11 +205,9 @@ class GuardScheduler : public Scheduler, public ActorHost {
   GuardArena* guard_arena() override { return ctx_->guards(); }
   Residuator* residuator() override { return ctx_->residuator(); }
   ReductionCache* reduction_cache() override {
-    return options_.symbolic_caches ? ctx_->reduction_cache() : nullptr;
+    return ctx_->reduction_cache();
   }
-  FlatEvaluator* flat_evaluator() override {
-    return options_.symbolic_caches ? ctx_->flat_evaluator() : nullptr;
-  }
+  FlatEvaluator* flat_evaluator() override { return ctx_->flat_evaluator(); }
 
  private:
   /// Shared constructor body: resolves metric handles and installs the
@@ -257,8 +247,8 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// replaces a red-black-tree walk each time. actors_ keeps ownership
   /// and deterministic iteration order.
   std::vector<EventActor*> actor_index_;
-  /// Per-actor contribution→site tables when options_.profiler is set
-  /// (node-stable map: actors hold pointers into it).
+  /// Per-actor site tables when options_.profiler is set (node-stable map:
+  /// actors hold pointers into it).
   std::map<SymbolId, GuardProfile> profiles_;
   /// symbol → symbols of actors whose guards mention it.
   std::map<SymbolId, std::set<SymbolId>> subscribers_;

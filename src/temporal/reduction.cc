@@ -3,11 +3,8 @@
 namespace cdes {
 namespace {
 
-template <bool kCount>
 const Guard* ReduceOnOccurred(GuardArena* arena, Residuator* residuator,
-                              const Guard* g, EventLiteral l,
-                              uint64_t* nodes) {
-  if constexpr (kCount) ++*nodes;
+                              const Guard* g, EventLiteral l) {
   switch (g->kind()) {
     case GuardKind::kFalse:
     case GuardKind::kTrue:
@@ -27,8 +24,7 @@ const Guard* ReduceOnOccurred(GuardArena* arena, Residuator* residuator,
       std::vector<const Guard*> kids;
       kids.reserve(g->children().size());
       for (const Guard* c : g->children()) {
-        kids.push_back(ReduceOnOccurred<kCount>(arena, residuator, c, l,
-                                                nodes));
+        kids.push_back(ReduceOnOccurred(arena, residuator, c, l));
       }
       return g->kind() == GuardKind::kAnd ? arena->And(kids)
                                           : arena->Or(kids);
@@ -37,10 +33,8 @@ const Guard* ReduceOnOccurred(GuardArena* arena, Residuator* residuator,
   return g;
 }
 
-template <bool kCount>
 const Guard* ReduceOnPromised(GuardArena* arena, const Guard* g,
-                              EventLiteral l, uint64_t* nodes) {
-  if constexpr (kCount) ++*nodes;
+                              EventLiteral l) {
   switch (g->kind()) {
     case GuardKind::kFalse:
     case GuardKind::kTrue:
@@ -72,7 +66,7 @@ const Guard* ReduceOnPromised(GuardArena* arena, const Guard* g,
       std::vector<const Guard*> kids;
       kids.reserve(g->children().size());
       for (const Guard* c : g->children()) {
-        kids.push_back(ReduceOnPromised<kCount>(arena, c, l, nodes));
+        kids.push_back(ReduceOnPromised(arena, c, l));
       }
       return g->kind() == GuardKind::kAnd ? arena->And(kids)
                                           : arena->Or(kids);
@@ -121,7 +115,7 @@ const Guard* ReduceCached(GuardArena* arena, Residuator* residuator,
   const Guard* result;
   if (g->kind() == GuardKind::kDiamond) {
     if constexpr (kPromised) {
-      result = ReduceOnPromised<false>(arena, g, l, nullptr);
+      result = ReduceOnPromised(arena, g, l);
     } else {
       result = arena->Diamond(residuator->Residuate(g->expr(), l));
     }
@@ -153,21 +147,9 @@ const Guard* ReduceGuard(GuardArena* arena, Residuator* residuator,
                               cache);
   }
   if (announcement.kind == AnnouncementKind::kOccurred) {
-    return ReduceOnOccurred<false>(arena, residuator, g, announcement.literal,
-                                   nullptr);
+    return ReduceOnOccurred(arena, residuator, g, announcement.literal);
   }
-  return ReduceOnPromised<false>(arena, g, announcement.literal, nullptr);
-}
-
-const Guard* ReduceGuardCounted(GuardArena* arena, Residuator* residuator,
-                                const Guard* g,
-                                const Announcement& announcement,
-                                uint64_t* nodes) {
-  if (announcement.kind == AnnouncementKind::kOccurred) {
-    return ReduceOnOccurred<true>(arena, residuator, g, announcement.literal,
-                                  nodes);
-  }
-  return ReduceOnPromised<true>(arena, g, announcement.literal, nodes);
+  return ReduceOnPromised(arena, g, announcement.literal);
 }
 
 const Guard* CommitNow(GuardArena* arena, const Guard* g) {

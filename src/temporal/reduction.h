@@ -108,22 +108,14 @@ class ReductionCache {
 /// announcements must be assimilated in occurrence order (the runtime's
 /// hold-back queue guarantees this — see runtime/event_actor.h).
 ///
-/// With `cache` non-null the reduction walk memoizes composite nodes in it;
-/// null reproduces the plain walk (results are identical — the cache stores
-/// only values the walk itself computed on the same arenas).
+/// With `cache` non-null the reduction walk memoizes composite nodes in it
+/// (the runtime and the model checker always pass their context's cache);
+/// null runs the plain walk, the reference the tests compare the memoized
+/// walk against (results are identical — the cache stores only values the
+/// walk itself computed on the same arenas).
 const Guard* ReduceGuard(GuardArena* arena, Residuator* residuator,
                          const Guard* g, const Announcement& announcement,
                          ReductionCache* cache = nullptr);
-
-/// ReduceGuard that additionally accumulates into `*nodes` the number of
-/// guard nodes visited by the reduction walk — the profiler's
-/// "expression-tree nodes" metric. The counting walk is a separate template
-/// instantiation, so the plain overload above compiles without the counter
-/// and profiling off costs nothing.
-const Guard* ReduceGuardCounted(GuardArena* arena, Residuator* residuator,
-                                const Guard* g,
-                                const Announcement& announcement,
-                                uint64_t* nodes);
 
 /// Replaces every atom `dead` inside `e` with 0 (the event can no longer
 /// occur) and rebuilds. Unlike residuation this consumes no ordering

@@ -253,5 +253,18 @@ TEST(DiagnosticsTest, NamesHottestGuardSiteWhenProfiled) {
   EXPECT_NE(rendered.find("hottest guard: d"), std::string::npos);
 }
 
+// Introspection reads the guards without counting as profiled work: only
+// the actors' firability checks are charged to guard sites.
+TEST(DiagnosticsTest, DiagnosisIsNotProfiledWork) {
+  obs::GuardProfiler profiler(/*sample_every=*/1);
+  DiagWorld w(kChainSpec, /*tracer=*/nullptr, &profiler);
+  w.AttemptAndRun("c");
+  uint64_t evaluations = profiler.total_evaluations();
+  EXPECT_GT(evaluations, 0u);
+  EXPECT_EQ(DiagnoseParked(&w.ctx, w.sched.get()).size(), 1u);
+  EXPECT_EQ(DiagnoseParked(&w.ctx, w.sched.get()).size(), 1u);
+  EXPECT_EQ(profiler.total_evaluations(), evaluations);
+}
+
 }  // namespace
 }  // namespace cdes

@@ -15,8 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include "algebra/generator.h"
+#include "common/rng.h"
+#include "common/strings.h"
 #include "engine/engine.h"
+#include "guards/workflow.h"
 #include "obs/json.h"
+#include "spec/parser.h"
 
 namespace cdes::engine {
 namespace {
@@ -141,6 +146,100 @@ TEST(EngineTest, DeterministicAcrossShardCounts) {
 
 // A different seed must actually change something (otherwise the previous
 // test would pass vacuously on constant output).
+/// A random workflow over `symbols` events: one agent per event, each on
+/// its own site, and two random dependencies.
+std::string RandomSpecText(uint64_t seed, size_t symbols) {
+  WorkflowContext ctx;
+  for (size_t i = 0; i < symbols; ++i) {
+    ctx.alphabet()->Intern(StrCat("e", i));
+  }
+  RandomExprOptions options;
+  options.symbol_count = symbols;
+  options.max_depth = 3;
+  options.max_arity = 3;
+  options.constant_probability = 0.0;
+  Rng rng(seed);
+  std::string text = "workflow rnd {\n";
+  for (size_t i = 0; i < symbols; ++i) {
+    text += StrCat("  agent a", i, " @ site(", i, ");\n");
+  }
+  for (size_t i = 0; i < symbols; ++i) {
+    text += StrCat("  event e", i, " agent(a", i, ");\n");
+  }
+  for (size_t d = 0; d < 2; ++d) {
+    text += StrCat("  dep d", d, ": ",
+                   ExprToString(GenerateRandomExpr(ctx.exprs(), &rng, options),
+                                *ctx.alphabet()),
+                   ";\n");
+  }
+  return text + "}\n";
+}
+
+// The premise behind shard-shared caches: what earlier instances left in
+// a shard's caches never changes a later instance's history. Random specs
+// run the same scripts at 1, 2 and 3 shards, so each instance shares its
+// shard with different predecessors; every instance must still end with
+// the same history and the same consistent/maximal flags. Agents sit on
+// distinct sites with jitter, so announcements arrive out of stamp order.
+TEST(EngineTest, RandomSpecsDeterministicAcrossShardCounts) {
+  constexpr size_t kSymbols = 4;
+  constexpr size_t kSpecs = 15;
+  constexpr size_t kInstances = 60;
+  size_t specs = 0;
+  for (uint64_t seed = 1; specs < kSpecs && seed <= 200; ++seed) {
+    std::string text = RandomSpecText(seed * 7919 + 13, kSymbols);
+    {
+      WorkflowContext ctx;
+      auto parsed = ParseWorkflow(&ctx, text);
+      ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+      if (CompileWorkflow(&ctx, parsed.value().spec).impossible()) continue;
+    }
+    auto spec = EngineSpec::FromText(text);
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    Rng rng(seed);
+    std::vector<InstanceScript> scripts(kInstances);
+    for (InstanceScript& script : scripts) {
+      for (size_t i = 0; i < kSymbols; ++i) {
+        if (rng.Next() % 3 == 0) continue;
+        script.attempts.push_back(
+            StrCat(rng.Next() % 4 == 0 ? "~" : "", "e", i));
+      }
+      for (size_t i = script.attempts.size(); i > 1; --i) {
+        std::swap(script.attempts[i - 1], script.attempts[rng.Next() % i]);
+      }
+    }
+    std::map<uint64_t, std::string> reference;
+    for (size_t shards : {1u, 2u, 3u}) {
+      EngineOptions opts;
+      opts.shards = shards;
+      opts.seed = seed;
+      opts.jitter = 500;
+      Engine eng(spec.value(), opts);
+      for (const InstanceScript& script : scripts) {
+        ASSERT_TRUE(eng.Submit(script).ok());
+      }
+      eng.Drain();
+      auto by_id = ById(eng.TakeResults());
+      ASSERT_EQ(by_id.size(), kInstances);
+      for (const auto& [id, r] : by_id) {
+        ASSERT_TRUE(r.error.empty()) << r.error;
+        std::string outcome =
+            StrCat(r.history, r.consistent ? " | consistent" : "",
+                   r.maximal ? " | maximal" : "");
+        if (shards == 1) {
+          reference[id] = outcome;
+        } else {
+          EXPECT_EQ(outcome, reference[id])
+              << "instance " << id << " diverged at " << shards
+              << " shards\n" << text;
+        }
+      }
+    }
+    ++specs;
+  }
+  EXPECT_EQ(specs, kSpecs);
+}
+
 TEST(EngineTest, SeedReachesInstanceWorlds) {
   auto run = [](uint64_t seed) {
     EngineOptions opts;

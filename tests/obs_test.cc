@@ -623,14 +623,17 @@ TEST(ObsIntegrationTest, ProfiledSchedulerMatchesUnprofiledRun) {
     GuardScheduler sched(&w.ctx, w.workflow, w.network.get(), sopts);
     w.Drive(&sched, script);
     CDES_CHECK(sched.HistoryConsistent());
-    return TraceToString(sched.history(), *w.ctx.alphabet());
+    const ReductionCache& cache = *w.ctx.reduction_cache();
+    return StrCat(TraceToString(sched.history(), *w.ctx.alphabet()),
+                  " | reduction cache ", cache.hits(), " hits ",
+                  cache.misses(), " misses");
   };
   obs::GuardProfiler profiler(/*sample_every=*/1);
-  // The profiled evaluation path (per-contribution reduce, then conjoin)
-  // must decide exactly what the unprofiled path decides.
+  // Profiling observes the production path instead of forking it: the
+  // same history, and the same reduction-cache traffic.
   EXPECT_EQ(run(&profiler), run(nullptr));
   // And the profiler actually saw the run: sites registered at Install,
-  // evaluations recorded at assimilation, attributable to real events.
+  // evaluations recorded at firability checks, attributable to real events.
   EXPECT_GT(profiler.site_count(), 0u);
   EXPECT_GT(profiler.total_evaluations(), 0u);
   auto hottest = profiler.HottestFor("c_buy");

@@ -1,19 +1,23 @@
-// Equivalence properties of the symbolic caches (PR 9): flat compiled
-// evaluation, the shard-shared ReductionCache, the incremental prefix-fold
-// replay, and the model checker's cached mode are *optimizations* — every
-// observable (evaluation verdicts, reduced-guard identities, scheduler
-// histories, checker findings) must be identical with them on and off.
-// Everything here runs over hundreds of random specs so the equivalences
-// are exercised across guard shapes no hand-written case would cover.
+// Equivalence properties of the symbolic caches: flat compiled evaluation,
+// the shard-shared ReductionCache, the prefix-fold replay, and the model
+// checker's memoized state space are *optimizations* of the plain
+// semantics. Production runs only the memoized path; the test-side
+// reference oracle is the plain walks — ReduceGuard without a cache, the
+// recursive EventActor::EvaluateNow and CommitNow — and every observable
+// (evaluation verdicts, reduced-guard identities, scheduler histories,
+// state-space transitions) must agree with it. Everything here runs over
+// hundreds of random specs so the equivalences are exercised across guard
+// shapes no hand-written case would cover.
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "algebra/generator.h"
 #include "algebra/trace.h"
-#include "analysis/model_checker.h"
+#include "analysis/state_space.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "runtime/event_actor.h"
@@ -25,10 +29,8 @@
 namespace cdes {
 namespace {
 
-using analysis::CheckResult;
-using analysis::CheckWorkflow;
-using analysis::ModelCheckOptions;
-using analysis::Rule;
+using analysis::CheckState;
+using analysis::StateSpace;
 
 std::vector<const Expr*> RandomDeps(WorkflowContext* ctx, Rng* rng,
                                     size_t symbols, size_t count) {
@@ -155,128 +157,250 @@ TEST(SymbolicCacheTest, CachedReductionIsPointerIdentical) {
   EXPECT_GT(traffic, 0u);
 }
 
-// ------------------------------- scheduler histories: memoized ≡ scratch
+// ------------------------------------------ scheduler runs vs reference
 
-// The full runtime path — announcement assimilation, hold-back replay via
-// prefix folds, flat evaluation, the ◇-free fast path — must produce
-// *bitwise-identical* histories with the caches on and off, for the same
-// attempt plan on the same deterministic network.
-TEST(SymbolicCacheTest, SchedulerHistoriesAreBitwiseIdentical) {
-  constexpr size_t kSymbols = 4;
-  size_t driven = 0;
-  for (uint64_t seed = 1; seed <= 200; ++seed) {
-    WorkflowContext gen_ctx;
-    for (size_t i = 0; i < kSymbols; ++i) {
-      gen_ctx.alphabet()->Intern(StrCat("e", i));
-    }
-    Rng rng(seed * 131 + 7);
-    std::string text = "workflow rnd {\n  agent a @ site(0);\n";
-    for (size_t i = 0; i < kSymbols; ++i) {
-      text += StrCat("  event e", i, " agent(a);\n");
-    }
-    size_t d = 0;
-    for (const Expr* expr : RandomDeps(&gen_ctx, &rng, kSymbols, 2)) {
-      text += StrCat("  dep d", d++, ": ",
-                     ExprToString(expr, *gen_ctx.alphabet()), ";\n");
-    }
-    text += "}\n";
-
-    // The attempt plan is drawn once, then replayed against both modes.
-    std::vector<std::string> plan;
-    for (size_t i = 0; i < kSymbols; ++i) {
-      if (rng.Next() % 2 == 0) plan.push_back(StrCat("e", i));
-    }
-
-    auto drive = [&](bool symbolic_caches, Trace* history_out,
-                     bool* consistent_out) -> bool {
-      WorkflowContext ctx;
-      auto parsed = ParseWorkflow(&ctx, text);
-      if (!parsed.ok()) return false;
-      Simulator sim;
-      NetworkOptions nopts;
-      nopts.base_latency = 50;
-      nopts.seed = seed;
-      Network network(&sim, 4, nopts);
-      GuardSchedulerOptions options;
-      options.symbolic_caches = symbolic_caches;
-      GuardScheduler sched(&ctx, parsed.value(), &network, options);
-      for (const std::string& name : plan) {
-        auto lit = ctx.alphabet()->ParseLiteral(name);
-        if (!lit.ok()) return false;
-        sched.Attempt(lit.value(), AttemptCallback());
-        sim.Run();
-      }
-      for (int round = 0; round < 8 && !sched.Undecided().empty(); ++round) {
-        sched.Close();
-        sim.Run();
-      }
-      *history_out = sched.history();
-      *consistent_out = sched.HistoryConsistent(true);
-      return true;
-    };
-
-    Trace memoized, scratch;
-    bool memoized_consistent = false, scratch_consistent = false;
-    if (!drive(true, &memoized, &memoized_consistent)) continue;
-    ASSERT_TRUE(drive(false, &scratch, &scratch_consistent)) << seed;
-    ASSERT_EQ(memoized, scratch)
-        << "seed " << seed << "\nmemoized: "
-        << TraceToString(memoized, *gen_ctx.alphabet()) << "\nscratch:  "
-        << TraceToString(scratch, *gen_ctx.alphabet()) << "\n" << text;
-    EXPECT_EQ(memoized_consistent, scratch_consistent) << seed;
-    ++driven;
+// A random workflow as spec text: one agent per event, each on its own
+// site, so that with network jitter announcements from different senders
+// reach an actor out of stamp order.
+std::string RandomWorkflowText(uint64_t seed, size_t symbols) {
+  WorkflowContext gen_ctx;
+  for (size_t i = 0; i < symbols; ++i) {
+    gen_ctx.alphabet()->Intern(StrCat("e", i));
   }
-  EXPECT_GT(driven, 100u);
+  Rng rng(seed);
+  std::string text = "workflow rnd {\n";
+  for (size_t i = 0; i < symbols; ++i) {
+    text += StrCat("  agent a", i, " @ site(", i, ");\n");
+  }
+  for (size_t i = 0; i < symbols; ++i) {
+    text += StrCat("  event e", i, " agent(a", i, ");\n");
+  }
+  size_t d = 0;
+  for (const Expr* expr : RandomDeps(&gen_ctx, &rng, symbols, 2)) {
+    text += StrCat("  dep d", d++, ": ",
+                   ExprToString(expr, *gen_ctx.alphabet()), ";\n");
+  }
+  return text + "}\n";
 }
 
-// ------------------------------------ model checker: cached ≡ uncached
-
-// The exhaustive checker must report identical findings *and* identical
-// exploration stats (the caches change per-state cost, never the canonical
-// state graph) with symbolic_caches on and off.
-TEST(SymbolicCacheTest, ModelCheckerFindingsAreIdentical) {
-  constexpr size_t kSymbols = 4;
-  size_t checked = 0;
-  for (uint64_t seed = 1; seed <= 300; ++seed) {
-    WorkflowContext ctx;
-    for (size_t i = 0; i < kSymbols; ++i) {
-      ctx.alphabet()->Intern(StrCat("e", i));
-    }
-    Rng rng(seed * 977 + 11);
-    ParsedWorkflow w;
-    w.name = "rnd";
-    size_t d = 0;
-    for (const Expr* expr : RandomDeps(&ctx, &rng, kSymbols, 2)) {
-      w.spec.Add(StrCat("d", d++), expr);
-    }
-    if (CompileWorkflow(&ctx, w.spec).impossible()) continue;
-    ModelCheckOptions cached;
-    cached.symbolic_caches = true;
-    ModelCheckOptions uncached;
-    uncached.symbolic_caches = false;
-    CheckResult with = CheckWorkflow(&ctx, w, cached);
-    CheckResult without = CheckWorkflow(&ctx, w, uncached);
-    ASSERT_FALSE(with.stats.bounded) << seed;
-    ASSERT_FALSE(without.stats.bounded) << seed;
-    ASSERT_EQ(with.diagnostics.size(), without.diagnostics.size()) << seed;
-    for (size_t i = 0; i < with.diagnostics.size(); ++i) {
-      EXPECT_EQ(with.diagnostics[i].rule, without.diagnostics[i].rule)
-          << seed;
-      EXPECT_EQ(with.diagnostics[i].message, without.diagnostics[i].message)
-          << seed;
-    }
-    EXPECT_EQ(with.stats.states_explored, without.stats.states_explored)
-        << seed;
-    EXPECT_EQ(with.stats.transitions, without.stats.transitions) << seed;
-    EXPECT_EQ(with.stats.maximal_states, without.stats.maximal_states)
-        << seed;
-    EXPECT_EQ(with.stats.accepted_states, without.stats.accepted_states)
-        << seed;
-    EXPECT_EQ(with.stats.deadlock_states, without.stats.deadlock_states)
-        << seed;
-    ++checked;
+// A random attempt plan: a random subset of the events, each with a
+// random polarity.
+std::vector<std::string> RandomPlan(Rng* rng, size_t symbols) {
+  std::vector<std::string> plan;
+  for (size_t i = 0; i < symbols; ++i) {
+    if (rng->Next() % 3 == 0) continue;
+    plan.push_back(StrCat(rng->Next() % 4 == 0 ? "~" : "", "e", i));
   }
-  EXPECT_GT(checked, 100u);
+  for (size_t i = plan.size(); i > 1; --i) {
+    std::swap(plan[i - 1], plan[rng->Next() % i]);
+  }
+  return plan;
+}
+
+NetworkOptions JitteryNetwork(uint64_t seed) {
+  NetworkOptions nopts;
+  nopts.base_latency = 50;
+  nopts.jitter = 200;
+  nopts.seed = seed;
+  return nopts;
+}
+
+// Attempts `plan` one literal at a time, then closes toward a maximal
+// trace, running the simulator to quiescence after each step and calling
+// `at_quiescence` there. Stops early when `at_quiescence` returns false.
+template <typename Fn>
+void DrivePlan(WorkflowContext* ctx, GuardScheduler* sched, Simulator* sim,
+               const std::vector<std::string>& plan, Fn&& at_quiescence) {
+  for (const std::string& name : plan) {
+    auto lit = ctx->alphabet()->ParseLiteral(name);
+    CDES_CHECK(lit.ok()) << lit.status();
+    sched->Attempt(lit.value(), AttemptCallback());
+    sim->Run();
+    if (!at_quiescence()) return;
+  }
+  for (int round = 0; round < 8 && !sched->Undecided().empty(); ++round) {
+    sched->Close();
+    sim->Run();
+    if (!at_quiescence()) return;
+  }
+}
+
+// The actors' memoized prefix-fold chains against the reference fold. At
+// every quiescent point of a run whose announcements arrive out of stamp
+// order, each actor's HeardResidual(l) must be the very node the plain
+// ReduceGuard fold of l's compiled guard produces over the history's
+// occurrences of the symbols that guard mentions (the history is in stamp
+// order; an actor never hears its own symbol).
+TEST(SymbolicCacheTest, HeardResidualMatchesReferenceFold) {
+  constexpr size_t kSymbols = 4;
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    std::string text = RandomWorkflowText(seed * 131 + 7, kSymbols);
+    WorkflowContext ctx;
+    auto parsed = ParseWorkflow(&ctx, text);
+    if (!parsed.ok()) continue;
+    Rng rng(seed * 29 + 3);
+    std::vector<std::string> plan = RandomPlan(&rng, kSymbols);
+    Simulator sim;
+    Network network(&sim, kSymbols, JitteryNetwork(seed));
+    GuardScheduler sched(&ctx, parsed.value(), &network);
+    auto matches_reference = [&] {
+      for (SymbolId symbol : sched.symbols()) {
+        for (bool complemented : {false, true}) {
+          EventLiteral l(symbol, complemented);
+          const Guard* expected = sched.CompiledGuardOf(l);
+          std::set<SymbolId> mentioned = GuardSymbols(expected);
+          for (EventLiteral occurred : sched.history()) {
+            if (occurred.symbol() == symbol ||
+                !mentioned.count(occurred.symbol())) {
+              continue;
+            }
+            expected = ReduceGuard(ctx.guards(), ctx.residuator(), expected,
+                                   {AnnouncementKind::kOccurred, occurred});
+          }
+          const Guard* actual = sched.actor(symbol)->HeardResidual(l);
+          EXPECT_EQ(actual, expected)
+              << "seed " << seed << " literal "
+              << ctx.alphabet()->LiteralName(l) << "\nhistory "
+              << TraceToString(sched.history(), *ctx.alphabet())
+              << "\nactual   " << GuardToString(actual, *ctx.alphabet())
+              << "\nexpected " << GuardToString(expected, *ctx.alphabet())
+              << "\n" << text;
+          if (actual != expected) return false;
+          ++compared;
+        }
+      }
+      return true;
+    };
+    DrivePlan(&ctx, &sched, &sim, plan, matches_reference);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(compared, 5000u);
+}
+
+// History and final consistency of one run of `plan` against `compiled`
+// in `ctx`, rendered as text.
+std::string RunPlan(WorkflowContext* ctx, CompiledWorkflowRef compiled,
+                    const ParsedWorkflow& workflow,
+                    const std::vector<std::string>& plan, uint64_t seed) {
+  Simulator sim;
+  Network network(&sim, workflow.agents.size(), JitteryNetwork(seed));
+  GuardScheduler sched(ctx, std::move(compiled), workflow, &network);
+  DrivePlan(ctx, &sched, &sim, plan, [] { return true; });
+  return StrCat(TraceToString(sched.history(), *ctx->alphabet()),
+                sched.HistoryConsistent(true) ? " consistent" : "");
+}
+
+// The shard premise: caches a context accumulates while running earlier
+// instances never change a later instance's history. Every plan run on a
+// context warmed by the spec's other plans (compiled once, as a shard
+// does) must give the history it gives on a fresh context. (Warming with
+// *other* specs is out of scope: a context that compiled them first may
+// build structurally different, equivalent guards.)
+TEST(SymbolicCacheTest, WarmContextHistoriesMatchFreshContext) {
+  constexpr size_t kSymbols = 4;
+  constexpr size_t kPlans = 4;
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    std::string text = RandomWorkflowText(seed * 613 + 1, kSymbols);
+    WorkflowContext warm;
+    auto parsed = ParseWorkflow(&warm, text);
+    if (!parsed.ok()) continue;
+    CompiledWorkflowRef compiled =
+        CompileWorkflowShared(&warm, parsed.value().spec);
+    Rng rng(seed * 37 + 5);
+    for (size_t k = 0; k < kPlans; ++k) {
+      std::vector<std::string> plan = RandomPlan(&rng, kSymbols);
+      uint64_t net_seed = seed * kPlans + k;
+      std::string warm_history =
+          RunPlan(&warm, compiled, parsed.value(), plan, net_seed);
+      WorkflowContext fresh;
+      auto fresh_parsed = ParseWorkflow(&fresh, text);
+      ASSERT_TRUE(fresh_parsed.ok()) << seed;
+      std::string fresh_history = RunPlan(
+          &fresh, CompileWorkflowShared(&fresh, fresh_parsed.value().spec),
+          fresh_parsed.value(), plan, net_seed);
+      ASSERT_EQ(warm_history, fresh_history)
+          << "seed " << seed << " plan " << k << "\n" << text;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 400u);
+}
+
+// ------------------------------------- state space vs reference walks
+
+// StateSpace::Successor restated over the plain walks: uncached
+// ReduceGuard and the recursive CommitNow.
+CheckState ReferenceSuccessor(WorkflowContext* ctx, const StateSpace& space,
+                              const CheckState& s, EventLiteral lit) {
+  GuardArena* arena = ctx->guards();
+  size_t i = space.SymbolIndex(lit.symbol());
+  Announcement occurred{AnnouncementKind::kOccurred, lit};
+  CheckState child;
+  child.decided = s.decided | (1ull << i);
+  child.positive = s.positive | (lit.complemented() ? 0 : 1ull << i);
+  child.guards.assign(s.guards.size(), nullptr);
+  child.commitment = arena->False();
+  if (space.GuardAlive(s)) {
+    const Guard* frozen =
+        CommitNow(arena, s.guards[2 * i + lit.complemented()]);
+    child.commitment =
+        ReduceGuard(arena, ctx->residuator(),
+                    arena->And(s.commitment, frozen), occurred);
+    for (size_t j = 0; j < space.symbols().size(); ++j) {
+      if (child.commitment->IsFalse() || (child.decided >> j & 1)) continue;
+      for (size_t slot : {2 * j, 2 * j + 1}) {
+        child.guards[slot] =
+            ReduceGuard(arena, ctx->residuator(), s.guards[slot], occurred);
+      }
+    }
+  }
+  for (const Expr* r : s.residuals) {
+    child.residuals.push_back(ctx->residuator()->Residuate(r, lit));
+  }
+  return child;
+}
+
+// Along random traces, the model checker's transition engine (memoized
+// reduction, flat CommitNow) must produce exactly the states and firing
+// commitments the plain walks produce.
+TEST(SymbolicCacheTest, StateSpaceMatchesReferenceWalks) {
+  constexpr size_t kSymbols = 4;
+  size_t steps = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    WorkflowContext ctx;
+    CompiledWorkflow compiled =
+        RandomCompiled(&ctx, seed * 977 + 11, kSymbols, 2);
+    if (compiled.impossible()) continue;
+    StateSpace space(&ctx, compiled);
+    Rng rng(seed * 41 + 9);
+    for (int walk = 0; walk < 8; ++walk) {
+      CheckState s = space.Initial();
+      while (!space.Maximal(s)) {
+        std::vector<EventLiteral> open;
+        for (size_t i = 0; i < space.symbols().size(); ++i) {
+          if (s.decided >> i & 1) continue;
+          for (bool complemented : {false, true}) {
+            EventLiteral lit = space.LiteralAt(i, complemented);
+            open.push_back(lit);
+            if (!space.GuardAlive(s)) continue;
+            ASSERT_EQ(space.Commitment(s, lit),
+                      CommitNow(ctx.guards(), s.guards[2 * i + complemented]))
+                << "seed " << seed;
+          }
+        }
+        EventLiteral lit = open[rng.Next() % open.size()];
+        CheckState next = space.Successor(s, lit);
+        ASSERT_TRUE(next == ReferenceSuccessor(&ctx, space, s, lit))
+            << "seed " << seed << " after "
+            << ctx.alphabet()->LiteralName(lit);
+        s = std::move(next);
+        ++steps;
+      }
+    }
+  }
+  EXPECT_GT(steps, 2000u);
 }
 
 // ----------------------------------------------------- counter plumbing
