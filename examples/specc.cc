@@ -2,10 +2,11 @@
 //
 // Reads a workflow specification (from argv[1], or a built-in demo spec),
 // and prints: the parsed workflow, the synthesized guard for every literal,
-// the Figure-2 residual machine per dependency, a schedule-space
-// verification, and the size of the precompiled automaton the centralized
-// baseline [2] would need. With --dot, emits the residual machines as
-// Graphviz instead.
+// the Figure-2 residual machine per dependency, the schedule-space verdict
+// of the exhaustive reachability checker (CL020–CL024, see
+// analysis/model_checker.h), and the size of the precompiled automaton the
+// centralized baseline [2] would need. With --dot, emits the residual
+// machines as Graphviz instead.
 //
 // With --trace=<file>, compile phases (parse, guard synthesis, residual
 // machines, verification, automata baseline) are recorded as wall-clock
@@ -17,11 +18,11 @@
 // printed after compilation. The =<file> form additionally writes
 // collapsed stacks for flamegraph.pl / speedscope.
 //
-// With --verify, the exhaustive reachability checker (CL020–CL023, see
-// analysis/model_checker.h) gates compilation alongside the static
-// analyzer: a reachable deadlock, unreachable event, or guard⇔spec
-// mismatch aborts before anything is synthesized, and per-workflow
-// exploration stats are printed.
+// With --verify, the same checker gates compilation alongside the static
+// analyzer: a reachable deadlock, unreachable event, guard⇔spec mismatch
+// or ¬-race aborts before anything is synthesized, and per-workflow
+// exploration stats are printed. Each workflow is explored once per run:
+// the verdict reuses the gate's result.
 //
 // Usage:  ./build/examples/specc [file.wf] [--dot] [--verify]
 //                                [--trace=<file>] [--profile[=<file>]]
@@ -35,7 +36,6 @@
 
 #include "algebra/residuation.h"
 #include "analysis/analyzer.h"
-#include "guards/verifier.h"
 #include "guards/workflow.h"
 #include "obs/chrome_trace.h"
 #include "obs/profiler.h"
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
         {{"workflows", std::to_string(parsed_all.value().size())}});
 
   // Static analysis runs on every compile (it is purely symbolic — cheap
-  // next to the schedule-space verification below). Errors abort: an
+  // next to the schedule-space exploration below). Errors abort: an
   // unsatisfiable dependency or a statically dead event means the workflow
   // can never do what the spec says.
   uint64_t lint_start = now_us();
@@ -158,13 +158,15 @@ int main(int argc, char** argv) {
   }
 
   // --verify: the exhaustive checker gates compilation. Reachability
-  // errors (CL020/CL021/CL023) abort with counterexample traces; a bounded
-  // run proves nothing about absence and is reported but not fatal.
+  // errors (CL020/CL021/CL023/CL024) abort with counterexample traces; a
+  // bounded run proves nothing about absence and is reported but not fatal.
+  std::vector<analysis::CheckResult> checked;
   if (verify) {
     uint64_t verify_gate_start = now_us();
     bool check_errors = false;
     for (const ParsedWorkflow& w : parsed_all.value()) {
-      analysis::CheckResult result = analysis::CheckWorkflow(&ctx, w);
+      analysis::CheckResult& result =
+          checked.emplace_back(analysis::CheckWorkflow(&ctx, w));
       for (analysis::Diagnostic& d : result.diagnostics) {
         if (path != nullptr) d.file = path;
       }
@@ -213,7 +215,8 @@ int main(int argc, char** argv) {
     return write_trace();
   }
 
-  for (const ParsedWorkflow& w : parsed_all.value()) {
+  for (size_t k = 0; k < parsed_all.value().size(); ++k) {
+    const ParsedWorkflow& w = parsed_all.value()[k];
     std::printf("\n================ workflow %s ================\n",
                 w.name.c_str());
     std::printf("%s", FormatWorkflow(w, *ctx.alphabet()).c_str());
@@ -253,12 +256,28 @@ int main(int argc, char** argv) {
 
     std::printf("\n-- schedule-space verification --\n");
     uint64_t verify_start = now_us();
-    auto report = VerifyScheduleSpace(&ctx, w.spec);
-    if (report.ok()) {
-      std::printf("  %s\n", report.value().ToString(*ctx.alphabet()).c_str());
+    analysis::CheckResult result;
+    if (verify) {
+      result = std::move(checked[k]);  // already explored and printed
     } else {
-      std::printf("  %s\n", report.status().ToString().c_str());
+      result = analysis::CheckCompiled(&ctx, w, compiled);
+      for (analysis::Diagnostic& d : result.diagnostics) {
+        if (path != nullptr) d.file = path;
+      }
+      std::printf("%s",
+                  analysis::FormatDiagnostics(result.diagnostics).c_str());
     }
+    // A bounded run proves the errors it found, never their absence.
+    const analysis::ModelCheckStats& stats = result.stats;
+    std::printf("  %s: %zu states, %zu transitions, %zu maximal, "
+                "%zu accepted%s%s\n",
+                analysis::HasFindings(result.diagnostics) ? "rejected"
+                : stats.bounded                           ? "inconclusive"
+                                                          : "ok",
+                stats.states_explored, stats.transitions,
+                stats.maximal_states, stats.accepted_states,
+                stats.bounded ? " (bounded: " : "",
+                stats.bounded ? (stats.bound_reason + ")").c_str() : "");
 
     phase("verify schedule space", verify_start, {{"workflow", w.name}});
 

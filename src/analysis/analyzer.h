@@ -22,7 +22,7 @@ struct AnalyzeOptions {
   size_t max_entailment_symbols = 8;
   /// Pairwise dependency entailment (CL007) can be disabled wholesale.
   bool check_redundancy = true;
-  /// Run the exhaustive reachability checker (CL020–CL023) after the
+  /// Run the exhaustive reachability checker (CL020–CL024) after the
   /// static passes. Off by default: the exploration is exact but can be
   /// exponential in the symbol count, so callers opt in (cdes-lint
   /// --check, specc --verify). Skipped, like the other guard passes, when
@@ -38,10 +38,10 @@ struct AnalyzeOptions {
 /// The analysis is purely symbolic: dependency satisfiability uses the
 /// reachable-residual graph (Figure 2), triviality uses the temporal
 /// simplifier's exact state space, and deadlock detection inspects the
-/// synthesized initial guards — the (exponential) schedule-space
-/// enumeration of guards/verifier is never invoked, so the analyzer is
-/// safe to run on every compilation (§6: "the compilation phase can
-/// detect these conditions").
+/// synthesized initial guards — the (exponential) state-space exploration
+/// of the reachability checker runs only when `check_reachability` asks
+/// for it, so the analyzer is safe to run on every compilation (§6: "the
+/// compilation phase can detect these conditions").
 ///
 /// Passes and their rules:
 ///   dependency triviality  CL001 (≡ 0, error), CL002 (≡ ⊤, warning)
@@ -51,7 +51,7 @@ struct AnalyzeOptions {
 ///   redundancy             CL007 (dependency entailed by another)
 ///   symbol hygiene         CL008 (undeclared), CL009 (no agent),
 ///                          CL010 (unconstrained)
-///   reachability (opt-in)  CL020–CL023 via the exhaustive model checker
+///   reachability (opt-in)  CL020–CL024 via the exhaustive model checker
 ///                          (analysis/model_checker.h), when
 ///                          `check_reachability` is set
 ///

@@ -23,6 +23,7 @@ std::string_view RuleCode(Rule rule) {
     case Rule::kUnreachableEvent: return "CL021";
     case Rule::kUnexercisedDep: return "CL022";
     case Rule::kGuardSpecMismatch: return "CL023";
+    case Rule::kNegationRace: return "CL024";
   }
   CDES_CHECK(false);
   return "";
@@ -45,6 +46,7 @@ std::string_view RuleSlug(Rule rule) {
     case Rule::kUnreachableEvent: return "unreachable-event";
     case Rule::kUnexercisedDep: return "unexercised-dep";
     case Rule::kGuardSpecMismatch: return "guard-spec-mismatch";
+    case Rule::kNegationRace: return "negation-race";
   }
   CDES_CHECK(false);
   return "";
@@ -61,6 +63,7 @@ Severity RuleSeverity(Rule rule) {
     case Rule::kReachableDeadlock:
     case Rule::kUnreachableEvent:
     case Rule::kGuardSpecMismatch:
+    case Rule::kNegationRace:
       return Severity::kError;
     case Rule::kVacuousDep:
     case Rule::kForcedEvent:

@@ -36,6 +36,7 @@ enum class Rule {
   kUnreachableEvent,    // CL021: no reachable state ever permits the event
   kUnexercisedDep,      // CL022: dependency satisfied only vacuously
   kGuardSpecMismatch,   // CL023: guards and dependencies disagree (Thm 6)
+  kNegationRace,        // CL024: two enabled events' order violates a dep
 };
 
 /// "CL001" / "unsatisfiable-dep" / default severity for `rule`.
@@ -65,7 +66,7 @@ struct Diagnostic {
   SourceLocation loc;
   /// Spec file the workflow came from, when known (filled by the CLI).
   std::string file;
-  /// Counterexample trace for reachability findings (CL020/CL023), in
+  /// Counterexample trace for reachability findings (CL020/CL023/CL024), in
   /// firing order; empty for the static rules.
   std::vector<TraceStep> trace;
 };

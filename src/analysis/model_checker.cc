@@ -1,12 +1,15 @@
 #include "analysis/model_checker.h"
 
 #include <algorithm>
+#include <bit>
+#include <bitset>
 #include <chrono>
 #include <deque>
 #include <map>
 #include <tuple>
 #include <unordered_map>
 
+#include "common/logging.h"
 #include "common/strings.h"
 #include "temporal/reduction.h"
 #include "temporal/simplify.h"
@@ -16,14 +19,33 @@ namespace {
 
 constexpr uint32_t kNoPred = 0xFFFFFFFFu;
 
+/// One bit per literal, indexed 2i / 2i+1 like CheckState::guards.
+using LiteralMask = std::bitset<128>;
+
+size_t LiteralBit(size_t symbol_index, bool complemented) {
+  return 2 * symbol_index + (complemented ? 1 : 0);
+}
+
 /// Exhaustive BFS over the canonical guard-state graph, with ample-set
 /// partial-order reduction. The exploration follows two transition kinds at
 /// once — guard-permitted firings (what the runtime admits) and
 /// dependency-consistent firings (what the spec admits) — so both
 /// directions of the Theorem 6 cross-validation come out of one pass:
-/// a guard-accepted maximal state with a violated dependency is "guards too
-/// liberal"; a dependency-satisfying maximal state whose commitment
-/// collapsed is "guards too strict".
+/// a dependency-satisfying maximal state whose commitment collapsed is
+/// "guards too strict"; a state whose commitment is ⊤ — every fired guard
+/// discharged, so the runtime can sit there — with a violated dependency
+/// is "guards too liberal", reported at the earliest such state of each
+/// path (a generated computation that violates a dependency is one).
+///
+/// The runtime evaluates ¬ optimistically (§4.3), which is safe only if no
+/// two events it may enable together disagree on their order. CL024
+/// reports a ¬-race at a commitment-⊤ state u: literals a and b both
+/// EnabledNow, each harmless alone, with D/u·a·b = 0. Races cost no extra
+/// residuation: u ORs its mask of enabled, harmless literals into the
+/// children fired through one of them, and the child's own candidate loop
+/// has D/u·a·b for every undecided b. The mask is complete when the child
+/// is expanded, because the decided set grows by one per transition, so
+/// every parent sits one BFS layer above.
 ///
 /// Soundness of the reduction: transitions in different entanglement
 /// classes commute to bitwise-equal canonical states (reduction by an
@@ -33,7 +55,11 @@ constexpr uint32_t kNoPred = 0xFFFFFFFFu;
 /// every maximal state exactly, and every CL020 state: the chosen class is
 /// required to contain a commit-permitted literal, whose permission would
 /// survive unchanged along any run avoiding the class — so a state where
-/// *no* literal is permitted cannot hide behind skipped interleavings.
+/// *no* literal is permitted cannot hide behind skipped interleavings. The
+/// ample set keeps no such promise for CL024 (the skipped class may hold
+/// the racing pair while the chosen one leaves obligations pending), nor
+/// for a CL023 witness that no accepted computation extends: those two
+/// are exhaustive only with the reduction off.
 class ModelChecker {
  public:
   ModelChecker(WorkflowContext* ctx, const ParsedWorkflow& workflow,
@@ -55,7 +81,7 @@ class ModelChecker {
     CheckState initial = space_.Initial();
     uint32_t id = 0;
     auto [it, fresh] = ids_.emplace(std::move(initial), id);
-    records_.push_back({&it->first, kNoPred, EventLiteral()});
+    records_.push_back({&it->first, kNoPred, EventLiteral(), {}, false});
     std::deque<uint32_t> queue{id};
 
     while (!queue.empty()) {
@@ -99,6 +125,12 @@ class ModelChecker {
     const CheckState* state;  // key in ids_ (node-stable)
     uint32_t pred;
     EventLiteral via;
+    // Filled in by every parent before this state is expanded: literals
+    // enabled and harmless alone together with the one a commitment-⊤
+    // parent fired to get here, and whether some parent already witnessed
+    // a violation (CL023 then reports only that earliest witness).
+    LiteralMask raced;
+    bool violated_above = false;
   };
   struct Candidate {
     EventLiteral lit;
@@ -113,11 +145,23 @@ class ModelChecker {
 
   void Expand(uint32_t id, std::deque<uint32_t>* queue) {
     const CheckState& s = *records_[id].state;
+    LiteralMask raced = records_[id].raced;
+    bool violated = records_[id].violated_above;
+    bool settled = s.commitment->IsTrue();
+    bool spec_alive = space_.SpecAlive(s);
+    if (settled && !spec_alive) {
+      // The guards admit this prefix with nothing pending, yet it already
+      // violates a dependency: every continuation is too liberal.
+      if (!violated) ReportLiberal(id, s);
+      violated = true;
+    }
     if (space_.Maximal(s)) {
       HandleMaximal(id, s);
       return;
     }
     bool guard_alive = space_.GuardAlive(s);
+    bool race_checked = settled && spec_alive;
+    LiteralMask enabled;
 
     std::vector<Candidate> cands;
     cands.reserve(2 * space_.symbols().size());
@@ -136,6 +180,12 @@ class ModelChecker {
             spec_ok = false;
             break;
           }
+        }
+        if (!spec_ok && raced[LiteralBit(i, complement)]) {
+          ReportRace(id, lit);  // raced bits only reach spec-alive states
+        }
+        if (race_checked && spec_ok && space_.EnabledNow(s, lit)) {
+          enabled.set(LiteralBit(i, complement));
         }
         bool alive = spec_ok;
         if (!alive && permitted) {
@@ -162,7 +212,7 @@ class ModelChecker {
 
     if (!options_.partial_order_reduction) {
       for (const Candidate& c : cands) {
-        if (c.alive) Fire(id, s, c.lit, queue);
+        if (c.alive) Fire(id, s, c.lit, enabled, violated, queue);
       }
       return;
     }
@@ -198,20 +248,28 @@ class ModelChecker {
     if (best == kNoPred) return;
     for (const Candidate& c : cands) {
       if (c.alive && classes[space_.SymbolIndex(c.lit.symbol())] == best) {
-        Fire(id, s, c.lit, queue);
+        Fire(id, s, c.lit, enabled, violated, queue);
       }
     }
   }
 
   void Fire(uint32_t id, const CheckState& s, EventLiteral lit,
+            const LiteralMask& enabled, bool violated,
             std::deque<uint32_t>* queue) {
     ++stats_.transitions;
     CheckState child = space_.Successor(s, lit);
     uint32_t child_id = static_cast<uint32_t>(records_.size());
     auto [it, fresh] = ids_.emplace(std::move(child), child_id);
-    if (!fresh) return;
-    records_.push_back({&it->first, id, lit});
-    queue->push_back(child_id);
+    if (fresh) {
+      records_.push_back({&it->first, id, lit, {}, false});
+      queue->push_back(child_id);
+    }
+    StateRecord& rec = records_[it->second];
+    if (enabled[LiteralBit(space_.SymbolIndex(lit.symbol()),
+                           lit.complemented())]) {
+      rec.raced |= enabled;
+    }
+    rec.violated_above |= violated;
   }
 
   void HandleMaximal(uint32_t id, const CheckState& s) {
@@ -220,27 +278,12 @@ class ModelChecker {
     bool spec_ok = space_.SpecSatisfied(s);
     if (accepted) {
       ++stats_.accepted_states;
+      // A generated computation that violates a dependency is reported by
+      // Expand as (or below) its earliest too-liberal witness.
       if (spec_ok) {
         any_proper_run_ = true;
         for (size_t d = 0; d < dep_masks_.size(); ++d) {
           if (s.positive & dep_masks_[d]) exercised_[d] = true;
-        }
-      } else {
-        // Guards too liberal: this computation is generated yet violates a
-        // dependency — the synthesis lost a constraint.
-        if (liberal_reported_ < options_.max_counterexamples) {
-          ++liberal_reported_;
-          Trace u = PathTo(id);
-          for (size_t d = 0; d < s.residuals.size(); ++d) {
-            if (!s.residuals[d]->IsZero()) continue;
-            const Dependency& dep = compiled_.dependencies()[d];
-            Report(Rule::kGuardSpecMismatch,
-                   StrCat("synthesized guards generate ", TraceText(u),
-                          ", which violates dependency '", dep.name,
-                          "' — guards are too liberal"),
-                   dep.loc, Steps(u));
-            break;
-          }
         }
       }
     } else if (spec_ok) {
@@ -257,6 +300,76 @@ class ModelChecker {
       }
     }
   }
+
+  /// Guards too liberal: the guards admit `s` with every obligation met,
+  /// yet it violates a dependency — the synthesis lost a constraint.
+  void ReportLiberal(uint32_t id, const CheckState& s) {
+    if (liberal_reported_ >= options_.max_counterexamples) return;
+    ++liberal_reported_;
+    Trace u = PathTo(id);
+    size_t d = 0;  // some residual is 0 (the caller's !SpecAlive)
+    while (!s.residuals[d]->IsZero()) ++d;
+    const Dependency& dep = compiled_.dependencies()[d];
+    Report(Rule::kGuardSpecMismatch,
+           StrCat("synthesized guards ",
+                  space_.Maximal(s) ? "generate " : "admit the prefix ",
+                  TraceText(u), ", which violates dependency '", dep.name,
+                  "' — guards are too liberal"),
+           dep.loc, Steps(u));
+  }
+
+  /// ¬-race: `b` is undecided at state `id`, some parent u enabled both b
+  /// and the literal a leading here, and D/u·a·b = 0.
+  void ReportRace(uint32_t id, EventLiteral b) {
+    if (race_reported_ >= options_.max_counterexamples) return;
+    ++race_reported_;
+    const CheckState& s = *records_[id].state;
+    size_t d = 0;  // some residual collapses under b (the caller's spec_ok)
+    while (!ctx_->residuator()->Residuate(s.residuals[d], b)->IsZero()) ++d;
+    const Dependency& dep = compiled_.dependencies()[d];
+    auto [parent, a] = RaceParent(id, b);
+    Trace u = PathTo(parent);
+    std::string at = u.empty() ? std::string("at the initial state")
+                               : StrCat("after ", TraceText(u));
+    u.push_back(a);
+    u.push_back(b);
+    Report(Rule::kNegationRace,
+           StrCat("¬-race ", at, ": ", Name(a), " and ", Name(b),
+                  " are both enabled, and ", Name(a), " then ", Name(b),
+                  " violates dependency '", dep.name,
+                  "' — optimistic ¬ evaluation is unsafe here"),
+           dep.loc, Steps(u));
+  }
+
+  /// The first (shortest-path) parent of state `id` that has commitment ⊤
+  /// and enables both `b`, harmless there, and the literal a it fires to
+  /// reach `id`; some parent set the race bit, and every parent precedes
+  /// `id` in BFS order.
+  std::pair<uint32_t, EventLiteral> RaceParent(uint32_t id,
+                                               EventLiteral b) const {
+    const CheckState& child = *records_[id].state;
+    for (uint32_t p = 0; p < id; ++p) {
+      const CheckState& s = *records_[p].state;
+      uint64_t fired = child.decided & ~s.decided;
+      if ((s.decided & ~child.decided) != 0 || std::popcount(fired) != 1 ||
+          !s.commitment->IsTrue()) {
+        continue;
+      }
+      size_t i = static_cast<size_t>(std::countr_zero(fired));
+      EventLiteral a = space_.LiteralAt(i, !(child.positive >> i & 1));
+      bool b_harmless = std::none_of(
+          s.residuals.begin(), s.residuals.end(), [&](const Expr* r) {
+            return ctx_->residuator()->Residuate(r, b)->IsZero();
+          });
+      if (b_harmless && space_.EnabledNow(s, a) && space_.EnabledNow(s, b) &&
+          space_.Successor(s, a) == child) {
+        return {p, a};
+      }
+    }
+    CDES_CHECK(false) << "race bit without a racing parent";
+    return {};
+  }
+
 
   void ReportDeadlock(uint32_t id, const CheckState& s) {
     if (deadlock_reported_ >= options_.max_counterexamples) return;
@@ -442,6 +555,7 @@ class ModelChecker {
   size_t deadlock_reported_ = 0;
   size_t liberal_reported_ = 0;
   size_t strict_reported_ = 0;
+  size_t race_reported_ = 0;
 };
 
 }  // namespace

@@ -17,6 +17,7 @@ namespace cdes::analysis {
 /// carries explicit caps; when any cap is hit the result is flagged
 /// `bounded` and the absence-based rules (CL021/CL022) are withheld — a
 /// bounded run can prove presence of a bad state, never absence.
+/// It is the repo's one state-space explorer.
 struct ModelCheckOptions {
   /// Stop after this many canonical states have been expanded.
   size_t max_states = 1 << 18;
@@ -27,9 +28,12 @@ struct ModelCheckOptions {
   size_t max_symbols = 16;
   /// Ample-set partial-order reduction: at each state expand only one
   /// entanglement class of events (see StateSpace::EntangledClasses).
-  /// Diagnostics are identical with it off — only the explored state count
-  /// changes; the switch exists for the soundness property tests and the
-  /// reduction-factor benchmark.
+  /// CL020–CL022 and too-strict CL023 come out identical with it off, and
+  /// too-liberal CL023 still fires whenever a generated computation
+  /// violates a dependency (possibly at another witness) — only the
+  /// explored state count changes. CL024, and a too-liberal witness no
+  /// generated computation extends, are exhaustive only with it off (a
+  /// reported finding is real either way).
   bool partial_order_reduction = true;
   /// Cap on emitted counterexample diagnostics per rule and direction
   /// (every reachable bad state is still *counted* in the stats).
@@ -70,8 +74,17 @@ struct CheckResult {
 ///   CL022  dependency never exercised — satisfied only vacuously: no
 ///          accepted computation fires any event it mentions
 ///   CL023  spec⇔guards cross-validation (Theorem 6 checked exhaustively):
-///          a guard-accepted computation violating a dependency, or a
-///          dependency-satisfying computation the guards do not generate
+///          the guards admit, with no obligation pending (commitment ⊤), a
+///          prefix that violates a dependency — reported at the earliest
+///          such state, which for a generated computation may be maximal
+///          — or a dependency-satisfying computation they do not generate
+///   CL024  ¬-race — at a state with commitment ⊤, the runtime's
+///          optimistic test (StateSpace::EnabledNow) enables two events a
+///          and b that each violate nothing alone, and a then b violates a
+///          dependency: concurrent sites could fire both (§4.3; §6's
+///          "certain consensus requirements can be eliminated" holds only
+///          without such a pair). An enabled event that violates a
+///          dependency alone is CL023's earliest witness instead.
 ///
 /// Counterexample traces are attached to the diagnostics (Diagnostic::trace)
 /// with each step's owning dependency and source location.

@@ -84,6 +84,13 @@ const Guard* StateSpace::Commitment(const CheckState& s,
   return flat_->Commit(ctx_->guards(), s.guards[2 * i + lit.complemented()]);
 }
 
+bool StateSpace::EnabledNow(const CheckState& s, EventLiteral lit) const {
+  if (!GuardAlive(s)) return false;
+  size_t i = SymbolIndex(lit.symbol());
+  CDES_DCHECK(!(s.decided >> i & 1));
+  return flat_->EvaluateNow(s.guards[2 * i + lit.complemented()]);
+}
+
 CheckState StateSpace::Successor(const CheckState& s, EventLiteral lit) const {
   GuardArena* arena = ctx_->guards();
   Residuator* residuator = ctx_->residuator();

@@ -60,7 +60,9 @@ struct CheckStateHash {
 /// ¬→⊤, ◇ kept) is not 0; the surviving ◇-part becomes an obligation that
 /// the rest of the trace must discharge. A maximal path is guard-accepted
 /// iff every firing was permitted and the final commitment is ⊤ — which the
-/// model-checker property test pins to CompiledWorkflow::Generates.
+/// model-checker property test pins to CompiledWorkflow::Generates. The
+/// runtime's optimistic test sits beside it as EnabledNow, which the
+/// checker's ¬-race rule (CL024) asks of every literal.
 class StateSpace {
  public:
   /// Aliases `ctx` and `compiled`; both must outlive the state space.
@@ -92,6 +94,13 @@ class StateSpace {
   /// The CommitNow projection of `lit`'s reduced guard at s: 0 when the
   /// literal is not permitted now. Only meaningful while GuardAlive(s).
   const Guard* Commitment(const CheckState& s, EventLiteral lit) const;
+
+  /// The runtime's optimistic test of `lit`'s reduced guard at s (the flat
+  /// EvaluateNow, ≡ the recursive EventActor::EvaluateNow): ¬ℓ holds while
+  /// ℓ has not occurred, □ℓ and ◇ℓ only once it has. An enabled literal's
+  /// Commitment is ⊤, so firing it adds no obligation. false unless
+  /// GuardAlive(s).
+  bool EnabledNow(const CheckState& s, EventLiteral lit) const;
 
   /// The state after `lit` occurs. The caller decides whether the child is
   /// worth keeping (see Dead below).

@@ -167,14 +167,10 @@ Engine::Engine(EngineSpecRef spec, const EngineOptions& options)
     ShardOptions sopts;
     sopts.index = k;
     sopts.max_resident = options_.max_resident_per_shard;
-    sopts.step_batch = options_.step_batch;
     sopts.seed = options_.seed;
     sopts.sites = spec_->site_count();
     sopts.base_latency = options_.base_latency;
     sopts.jitter = options_.jitter;
-    sopts.enable_promises = options_.enable_promises;
-    sopts.auto_trigger = options_.auto_trigger;
-    sopts.simplify_guards = options_.simplify_guards;
     sopts.durable_logs = options_.durable_logs;
     sopts.wal_dir = options_.wal_dir;
     sopts.checkpoint_every = options_.checkpoint_every;
@@ -297,7 +293,6 @@ void Engine::Checkpoint() {
 
 void Engine::Abort() {
   if (stopped_) return;
-  stopped_ = true;
   if (telemetry_thread_.joinable()) {
     {
       std::lock_guard<std::mutex> lock(telemetry_mu_);
@@ -309,6 +304,7 @@ void Engine::Abort() {
   for (auto& shard : shards_) shard->Abort();
   for (auto& shard : shards_) shard->Join();
   stopped_at_us_ = NowUs();
+  stopped_ = true;
 }
 
 void Engine::Resume() {
@@ -322,7 +318,6 @@ void Engine::Drain() {
 
 void Engine::Stop() {
   if (stopped_) return;
-  stopped_ = true;
   Resume();
   // Park the telemetry publisher before the shards go away; its final
   // line is emitted below, after the per-shard registries are mergeable.
@@ -341,6 +336,7 @@ void Engine::Stop() {
   }
   for (auto& shard : shards_) shard->Join();
   stopped_at_us_ = NowUs();
+  stopped_ = true;  // only after the joins (see its declaration)
   if (telemetry_sink_) EmitTelemetryLine();
 }
 

@@ -28,8 +28,6 @@ struct EngineOptions {
   /// Instances a shard interleaves at once; further commands wait in its
   /// mailbox (bounds live memory at shards × max_resident worlds).
   size_t max_resident_per_shard = 64;
-  /// Simulator events per instance per cooperative turn.
-  size_t step_batch = 64;
   /// Seed for the per-instance network RNG streams. Together with the
   /// submission order (which fixes instance ids), this fully determines
   /// every instance's history — independent of shard count.
@@ -38,10 +36,6 @@ struct EngineOptions {
   /// uniform jitter drawn from the instance's seeded RNG.
   SimTime base_latency = 1000;
   SimTime jitter = 0;
-  /// Scheduler behavior, passed through to every instance scheduler.
-  bool enable_promises = true;
-  bool auto_trigger = true;
-  bool simplify_guards = true;
   /// Keep one EventLog per instance and return its serialized form in the
   /// InstanceResult, enabling Engine::Recover after a crash.
   bool durable_logs = false;
@@ -260,6 +254,8 @@ class Engine {
   std::chrono::steady_clock::time_point epoch_;
   std::unique_ptr<InstanceManager> manager_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Set by Stop()/Abort() only after the telemetry thread and every shard
+  /// are joined, so no other thread ever reads it while it changes.
   bool stopped_ = false;
   /// Wall time frozen at Stop() so post-run Metrics() report the run's
   /// throughput, not decaying averages.

@@ -9,6 +9,10 @@
 namespace cdes::engine {
 namespace {
 
+/// Simulator events one instance may execute per cooperative turn before
+/// yielding to the next resident instance.
+constexpr size_t kStepBatch = 64;
+
 /// splitmix64 over (engine seed, instance id): decorrelated per-instance
 /// RNG streams that depend on nothing a shard knows — the determinism
 /// guarantee "same seed + same submission order ⇒ identical per-instance
@@ -76,9 +80,7 @@ void Shard::ThreadMain() {
   Result<ParsedWorkflow> parsed = spec_->Materialize(ctx_.get());
   CDES_CHECK(parsed.ok()) << parsed.status();
   workflow_ = std::move(parsed).value();
-  CompileOptions copts;
-  copts.simplify = options_.simplify_guards;
-  compiled_ = CompileWorkflowShared(ctx_.get(), workflow_.spec, copts);
+  compiled_ = CompileWorkflowShared(ctx_.get(), workflow_.spec);
   if (!options_.wal_dir.empty()) {
     WalOptions wopts;
     wopts.dir = options_.wal_dir;
@@ -177,9 +179,6 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
   r->net = std::make_unique<Network>(&r->sim, options_.sites, nopts);
 
   GuardSchedulerOptions sopts;
-  sopts.enable_promises = options_.enable_promises;
-  sopts.auto_trigger = options_.auto_trigger;
-  sopts.simplify_guards = options_.simplify_guards;
   sopts.metrics = &metrics_;
   sopts.lifecycle_instrumentation = options_.lifecycle_metrics;
   sopts.profiler = options_.profiler;
@@ -240,7 +239,7 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
 
 bool Shard::StepInstance(Resident& r) {
   if (r.sim.pending() > 0) {
-    sim_steps_.fetch_add(r.sim.Run(options_.step_batch),
+    sim_steps_.fetch_add(r.sim.Run(kStepBatch),
                          std::memory_order_relaxed);
     SyncWal(r);  // records the batch just produced, on group-commit terms
     if (r.sim.pending() > 0) return false;  // yield; more next turn

@@ -28,9 +28,6 @@ struct ShardOptions {
   /// Cap on instances interleaved on the shard at once; commands beyond it
   /// wait in the mailbox.
   size_t max_resident = 64;
-  /// Simulator events one instance may execute per cooperative turn before
-  /// yielding to the next resident instance.
-  size_t step_batch = 64;
   /// Engine seed; each instance's network RNG is seeded from (seed,
   /// instance id) only, which is what makes histories independent of shard
   /// count and placement.
@@ -40,10 +37,6 @@ struct ShardOptions {
   SimTime base_latency = 1000;
   SimTime local_latency = 1;
   SimTime jitter = 0;
-  /// Scheduler behavior (GuardSchedulerOptions passthrough).
-  bool enable_promises = true;
-  bool auto_trigger = true;
-  bool simplify_guards = true;
   /// Keep a per-instance EventLog and ship its serialized form in the
   /// result (enables Engine::Recover).
   bool durable_logs = false;

@@ -511,8 +511,8 @@ bool EventActor::TryAnswerPromiseRequest(const RuntimeMessage& request) {
     hypothetical = DischargeDiamonds(hypothetical);
     // Optimistic grant (EvaluateNow rather than the constant ⊤): residual
     // ¬-atoms are tolerated because, for synthesized guards, an event that
-    // could falsify them is itself ordered after us (the verifier's
-    // race-freedom property); residual ◇/□-atoms still block the grant.
+    // could falsify them is itself ordered after us (the model checker's
+    // CL024 ¬-race freedom); residual ◇/□-atoms still block the grant.
     if (!flat_->EvaluateNow(hypothetical)) return false;
     promises_made_.insert(made);
     // The promise carries order guarantees: our □-obligations and the

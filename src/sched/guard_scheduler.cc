@@ -588,7 +588,6 @@ CheckpointState GuardScheduler::Snapshot() const {
 }
 
 bool GuardScheduler::MayTrigger(EventLiteral literal) const {
-  if (!options_.auto_trigger) return false;
   if (literal.complemented()) return false;
   auto it = attrs_.find(literal.symbol());
   if (it == attrs_.end()) return false;

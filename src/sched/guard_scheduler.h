@@ -22,8 +22,6 @@ namespace cdes {
 struct GuardSchedulerOptions {
   /// Semantic canonicalization of compiled guards (Example 9 forms).
   bool simplify_guards = true;
-  /// Proactively trigger triggerable events needed by parked guards.
-  bool auto_trigger = true;
   /// Enable the conditional-promise consensus of Example 11.
   bool enable_promises = true;
   /// Estimated bytes per runtime message, for network accounting.

@@ -1,29 +1,67 @@
-// Schedule-space verification of the guard discipline (see
-// guards/verifier.h): every prefix reachable under optimistic ¬ evaluation
-// is explored and checked for safety, ¬-race freedom, and terminal
-// satisfaction. Exhaustive over the alphabet — it covers every
-// interleaving a distributed execution could produce.
+// Schedule-space verification of the guard discipline by the exhaustive
+// reachability checker (analysis/model_checker.h), with partial-order
+// reduction off so that every interleaving a distributed execution could
+// produce is explored: no guard-admitted prefix violates a dependency
+// (CL023) and no two optimistically enabled events race on ¬ (CL024).
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "algebra/generator.h"
+#include "analysis/model_checker.h"
 #include "common/strings.h"
-#include "guards/verifier.h"
+#include "spec/ast.h"
 
 namespace cdes {
+
+/// Test-only access to a compiled guard table: lets a test hand the checker
+/// a guard the synthesis would never produce.
+class CompiledWorkflowTestPeer {
+ public:
+  static void SetGuard(CompiledWorkflow* compiled, EventLiteral literal,
+                       const Guard* guard) {
+    compiled->guards_[literal] = guard;
+  }
+};
+
 namespace {
+
+using analysis::CheckCompiled;
+using analysis::CheckResult;
+using analysis::Diagnostic;
+using analysis::ModelCheckOptions;
+using analysis::Rule;
+
+ParsedWorkflow Workflow(const WorkflowSpec& spec) {
+  ParsedWorkflow w;
+  w.name = "w";
+  w.spec = spec;
+  return w;
+}
+
+CheckResult CheckUnreduced(WorkflowContext* ctx, const ParsedWorkflow& w,
+                           const CompiledWorkflow& compiled) {
+  ModelCheckOptions options;
+  options.partial_order_reduction = false;
+  return CheckCompiled(ctx, w, compiled, options);
+}
 
 ::testing::AssertionResult Verified(WorkflowContext* ctx,
                                     const WorkflowSpec& spec) {
-  Result<VerificationReport> report = VerifyScheduleSpace(ctx, spec);
-  if (!report.ok()) {
-    return ::testing::AssertionFailure() << report.status();
+  CompiledWorkflow compiled = CompileWorkflow(ctx, spec);
+  // Nothing is ever enabled; the empty space is trivially safe.
+  if (compiled.impossible()) return ::testing::AssertionSuccess();
+  CheckResult result = CheckUnreduced(ctx, Workflow(spec), compiled);
+  if (result.stats.bounded) {
+    return ::testing::AssertionFailure() << result.stats.bound_reason;
   }
-  if (!report.value().ok()) {
-    return ::testing::AssertionFailure()
-           << report.value().ToString(*ctx->alphabet());
+  for (const Diagnostic& d : result.diagnostics) {
+    if (d.rule == Rule::kGuardSpecMismatch || d.rule == Rule::kNegationRace) {
+      return ::testing::AssertionFailure()
+             << analysis::FormatDiagnostics(result.diagnostics);
+    }
   }
   return ::testing::AssertionSuccess();
 }
@@ -103,37 +141,93 @@ TEST(ScheduleSpaceTest, ReportsStatesExplored) {
   WorkflowSpec spec;
   spec.Add("d", KleinPrecedes(ctx.exprs(), ctx.alphabet()->Intern("e"),
                               ctx.alphabet()->Intern("f")));
-  auto report = VerifyScheduleSpace(&ctx, spec);
-  ASSERT_TRUE(report.ok());
-  // Prefixes over 2 symbols: fewer than the whole universe (blocked
-  // orders are not reachable) but more than the maximal traces.
-  EXPECT_GT(report.value().states_explored, 4u);
-  EXPECT_NE(report.value().ToString(*ctx.alphabet()).find("ok"),
-            std::string::npos);
-}
-
-TEST(ScheduleSpaceTest, StateCapReturnsOutOfRange) {
-  WorkflowContext ctx;
-  WorkflowSpec spec;
-  std::vector<SymbolId> symbols;
-  for (int i = 0; i < 5; ++i) {
-    symbols.push_back(ctx.alphabet()->Intern(StrCat("s", i)));
-  }
-  spec.Add("d", OrderedIfAll(ctx.exprs(), symbols));
-  VerifyOptions options;
-  options.max_states = 10;
-  auto report = VerifyScheduleSpace(&ctx, spec, options);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kOutOfRange);
+  CheckResult result =
+      CheckUnreduced(&ctx, Workflow(spec), CompileWorkflow(&ctx, spec));
+  EXPECT_FALSE(result.stats.bounded) << result.stats.bound_reason;
+  EXPECT_TRUE(result.diagnostics.empty())
+      << analysis::FormatDiagnostics(result.diagnostics);
+  // States over 2 symbols: more than the maximal ones, and every maximal
+  // state the exploration reaches is generated by the guards.
+  EXPECT_GT(result.stats.states_explored, result.stats.maximal_states);
+  EXPECT_GT(result.stats.accepted_states, 0u);
 }
 
 TEST(ScheduleSpaceTest, ImpossibleWorkflowTriviallySafe) {
   WorkflowContext ctx;
   WorkflowSpec spec;
   spec.Add("never", ctx.exprs()->Zero());
-  auto report = VerifyScheduleSpace(&ctx, spec);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().ok());
+  CheckResult result = analysis::CheckWorkflow(&ctx, Workflow(spec));
+  // CL001 is the static analyzer's finding; the checker explores nothing
+  // and says so instead of claiming an exhaustive run.
+  EXPECT_TRUE(result.diagnostics.empty());
+  EXPECT_TRUE(result.stats.bounded);
+  EXPECT_NE(result.stats.bound_reason.find("CL001"), std::string::npos)
+      << result.stats.bound_reason;
+  EXPECT_EQ(result.stats.states_explored, 0u);
+}
+
+// e < f with G(f) forced to ⊤: at the initial state both e (guard ¬f) and
+// f are optimistically enabled, and f then e violates the dependency. The
+// guards never admit that order (G(e)/f = 0), so CL020–CL023 stay silent;
+// only the ¬-race rule sees it.
+TEST(ScheduleSpaceTest, LiberalGuardRacesOnNegation) {
+  WorkflowContext ctx;
+  SymbolId e = ctx.alphabet()->Intern("e");
+  SymbolId f = ctx.alphabet()->Intern("f");
+  WorkflowSpec spec;
+  spec.Add("order", KleinPrecedes(ctx.exprs(), e, f));
+  CompiledWorkflow compiled = CompileWorkflow(&ctx, spec);
+  ASSERT_TRUE(Verified(&ctx, spec));
+  CompiledWorkflowTestPeer::SetGuard(&compiled, EventLiteral::Positive(f),
+                                     ctx.guards()->True());
+
+  CheckResult result = CheckUnreduced(&ctx, Workflow(spec), compiled);
+  EXPECT_FALSE(result.stats.bounded) << result.stats.bound_reason;
+  ASSERT_EQ(result.diagnostics.size(), 1u)
+      << analysis::FormatDiagnostics(result.diagnostics);
+  const Diagnostic& d = result.diagnostics[0];
+  EXPECT_EQ(d.rule, Rule::kNegationRace);
+  EXPECT_EQ(analysis::RuleCode(d.rule), "CL024");
+  EXPECT_NE(d.message.find("at the initial state"), std::string::npos)
+      << d.message;
+  EXPECT_NE(d.message.find("'order'"), std::string::npos) << d.message;
+  ASSERT_EQ(d.trace.size(), 2u);
+  EXPECT_EQ(d.trace[0].literal, "f");
+  EXPECT_EQ(d.trace[1].literal, "e");
+}
+
+// ~e with G(e) forced to ⊤: the guards admit <e>, which violates the
+// dependency with nothing pending. CL023 fires once, at that earliest
+// witness; the generated computations below it (e then f or ~f) are not
+// reported again.
+TEST(ScheduleSpaceTest, LiberalGuardReportsEarliestWitness) {
+  WorkflowContext ctx;
+  SymbolId e = ctx.alphabet()->Intern("e");
+  SymbolId f = ctx.alphabet()->Intern("f");
+  ExprArena* exprs = ctx.exprs();
+  WorkflowSpec spec;
+  spec.Add("never_e", exprs->Atom(EventLiteral::Complement(e)));
+  spec.Add("some_f", exprs->Or(exprs->Atom(EventLiteral::Positive(f)),
+                               exprs->Atom(EventLiteral::Complement(f))));
+  CompiledWorkflow compiled = CompileWorkflow(&ctx, spec);
+  CompiledWorkflowTestPeer::SetGuard(&compiled, EventLiteral::Positive(e),
+                                     ctx.guards()->True());
+
+  CheckResult result = CheckUnreduced(&ctx, Workflow(spec), compiled);
+  EXPECT_FALSE(result.stats.bounded) << result.stats.bound_reason;
+  std::vector<const Diagnostic*> liberal;
+  for (const Diagnostic& d : result.diagnostics) {
+    EXPECT_NE(d.rule, Rule::kNegationRace) << d.message;
+    if (d.rule == Rule::kGuardSpecMismatch) liberal.push_back(&d);
+  }
+  ASSERT_EQ(liberal.size(), 1u)
+      << analysis::FormatDiagnostics(result.diagnostics);
+  EXPECT_NE(liberal[0]->message.find("admit the prefix <e>"),
+            std::string::npos)
+      << liberal[0]->message;
+  EXPECT_NE(liberal[0]->message.find("'never_e'"), std::string::npos);
+  ASSERT_EQ(liberal[0]->trace.size(), 1u);
+  EXPECT_EQ(liberal[0]->trace[0].literal, "e");
 }
 
 struct SweepParam {
@@ -153,6 +247,10 @@ TEST_P(ScheduleSpaceSweep, RandomWorkflowsAreRaceFreeAndSafe) {
   options.constant_probability = 0.05;
   for (int iter = 0; iter < 20; ++iter) {
     WorkflowContext ctx;
+    // Names for the generator's symbol ids, which findings print.
+    for (size_t i = 0; i < param.symbol_count; ++i) {
+      ctx.alphabet()->Intern(StrCat("s", i));
+    }
     WorkflowSpec spec;
     for (size_t d = 0; d < param.dependency_count; ++d) {
       spec.Add(StrCat("d", d), GenerateRandomExpr(ctx.exprs(), &rng, options));

@@ -151,7 +151,7 @@ TEST(DiagnosticsTest, DoomedWhenNeededEventForeclosed) {
   // reached c): the diagnosis flags the parked attempt as doomed. Note
   // that synthesized guards make this state hard to reach organically —
   // the guard on ~b itself demands ◇~c while c is parked — which is the
-  // verifier's race-freedom property showing up in the small.
+  // model checker's ¬-race freedom (CL024) showing up in the small.
   DiagWorld w(R"(
 workflow ch2 {
   event b;

@@ -288,7 +288,8 @@ TEST(ModelCheckerPropertyTest, PartialOrderReductionPreservesFindings) {
     ASSERT_FALSE(full.stats.bounded) << seed;
     ASSERT_FALSE(por.stats.bounded) << seed;
     for (Rule rule : {Rule::kReachableDeadlock, Rule::kUnreachableEvent,
-                      Rule::kUnexercisedDep, Rule::kGuardSpecMismatch}) {
+                      Rule::kUnexercisedDep, Rule::kGuardSpecMismatch,
+                      Rule::kNegationRace}) {
       EXPECT_EQ(Count(full.diagnostics, rule), Count(por.diagnostics, rule))
           << "seed " << seed << " rule " << analysis::RuleCode(rule) << "\n"
           << "naive:\n" << analysis::FormatDiagnostics(full.diagnostics)

@@ -363,11 +363,14 @@ CheckState ReferenceSuccessor(WorkflowContext* ctx, const StateSpace& space,
 }
 
 // Along random traces, the model checker's transition engine (memoized
-// reduction, flat CommitNow) must produce exactly the states and firing
-// commitments the plain walks produce.
+// reduction, flat CommitNow, flat EvaluateNow) must produce exactly the
+// states, firing commitments and optimistic verdicts the plain walks
+// produce; the optimistic one folds the compiled guard along the trace
+// with the plain ReduceGuard and asks the recursive EvaluateNow.
 TEST(SymbolicCacheTest, StateSpaceMatchesReferenceWalks) {
   constexpr size_t kSymbols = 4;
   size_t steps = 0;
+  size_t enabled = 0;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     WorkflowContext ctx;
     CompiledWorkflow compiled =
@@ -377,6 +380,7 @@ TEST(SymbolicCacheTest, StateSpaceMatchesReferenceWalks) {
     Rng rng(seed * 41 + 9);
     for (int walk = 0; walk < 8; ++walk) {
       CheckState s = space.Initial();
+      Trace u;
       while (!space.Maximal(s)) {
         std::vector<EventLiteral> open;
         for (size_t i = 0; i < space.symbols().size(); ++i) {
@@ -384,10 +388,27 @@ TEST(SymbolicCacheTest, StateSpaceMatchesReferenceWalks) {
           for (bool complemented : {false, true}) {
             EventLiteral lit = space.LiteralAt(i, complemented);
             open.push_back(lit);
-            if (!space.GuardAlive(s)) continue;
+            if (!space.GuardAlive(s)) {
+              ASSERT_FALSE(space.EnabledNow(s, lit)) << "seed " << seed;
+              continue;
+            }
             ASSERT_EQ(space.Commitment(s, lit),
                       CommitNow(ctx.guards(), s.guards[2 * i + complemented]))
                 << "seed " << seed;
+            const Guard* folded = compiled.GuardFor(lit);
+            for (EventLiteral occurred : u) {
+              folded = ReduceGuard(ctx.guards(), ctx.residuator(), folded,
+                                   {AnnouncementKind::kOccurred, occurred});
+            }
+            bool now = EventActor::EvaluateNow(folded);
+            ASSERT_EQ(space.EnabledNow(s, lit), now)
+                << "seed " << seed << " " << ctx.alphabet()->LiteralName(lit)
+                << " after " << TraceToString(u, *ctx.alphabet());
+            // Firing an enabled literal adds no obligation.
+            if (now) {
+              ASSERT_TRUE(space.Commitment(s, lit)->IsTrue());
+            }
+            enabled += now;
           }
         }
         EventLiteral lit = open[rng.Next() % open.size()];
@@ -396,11 +417,13 @@ TEST(SymbolicCacheTest, StateSpaceMatchesReferenceWalks) {
             << "seed " << seed << " after "
             << ctx.alphabet()->LiteralName(lit);
         s = std::move(next);
+        u.push_back(lit);
         ++steps;
       }
     }
   }
   EXPECT_GT(steps, 2000u);
+  EXPECT_GT(enabled, 1000u);
 }
 
 // ----------------------------------------------------- counter plumbing

@@ -8,7 +8,7 @@
 // parser reports. See docs/ANALYSIS.md for the rule catalogue.
 //
 // --check additionally runs the exhaustive reachability checker
-// (CL020–CL023, analysis/model_checker.h) over every workflow, attaching
+// (CL020–CL024, analysis/model_checker.h) over every workflow, attaching
 // counterexample traces to the findings. --check-budget=STATES[,MILLIS]
 // bounds the exploration; a budget-exhausted run reports whatever it
 // proved, flags the result "bounded" (summary line, and a "bounded": true
