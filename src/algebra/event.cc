@@ -42,23 +42,4 @@ Result<EventLiteral> Alphabet::ParseLiteral(std::string_view text) const {
   return EventLiteral(id, complemented);
 }
 
-std::vector<EventLiteral> Alphabet::PositiveLiterals() const {
-  std::vector<EventLiteral> out;
-  out.reserve(size());
-  for (SymbolId id = 0; id < size(); ++id) {
-    out.push_back(EventLiteral::Positive(id));
-  }
-  return out;
-}
-
-std::vector<EventLiteral> Alphabet::AllLiterals() const {
-  std::vector<EventLiteral> out;
-  out.reserve(2 * size());
-  for (SymbolId id = 0; id < size(); ++id) {
-    out.push_back(EventLiteral::Positive(id));
-    out.push_back(EventLiteral::Complement(id));
-  }
-  return out;
-}
-
 }  // namespace cdes

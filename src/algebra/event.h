@@ -116,12 +116,6 @@ class Alphabet {
   /// Parses "e" or "~e"; fails (NotFound) if the symbol is not interned.
   Result<EventLiteral> ParseLiteral(std::string_view text) const;
 
-  /// All positive literals of interned symbols, in id order.
-  std::vector<EventLiteral> PositiveLiterals() const;
-
-  /// All literals (e and ē for every symbol), in index order.
-  std::vector<EventLiteral> AllLiterals() const;
-
  private:
   // Heterogeneous lookup: Find/Intern probe with a string_view directly,
   // with no per-call std::string temporary — ParseLiteral sits on the log

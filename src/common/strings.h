@@ -1,6 +1,7 @@
 #ifndef CDES_COMMON_STRINGS_H_
 #define CDES_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -37,6 +38,16 @@ std::string_view StripWhitespace(std::string_view text);
 
 /// True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+/// Parses a non-empty run of ASCII digits into `*out`; false (`*out`
+/// untouched) on anything else, including values above UINT64_MAX.
+bool ParseU64(std::string_view text, uint64_t* out);
+
+/// The deepest parenthesis nesting the recursive-descent text parsers (spec
+/// language, checkpoint s-expressions) accept, so untrusted input gets a
+/// Status before it can exhaust the stack (under ASan with 8 MB, the
+/// template-spec path overflowed at ~900 levels, the others at 1,500+).
+inline constexpr int kMaxNestingDepth = 256;
 
 }  // namespace cdes
 

@@ -167,10 +167,6 @@ Engine::Engine(EngineSpecRef spec, const EngineOptions& options)
     ShardOptions sopts;
     sopts.index = k;
     sopts.max_resident = options_.max_resident_per_shard;
-    sopts.seed = options_.seed;
-    sopts.sites = spec_->site_count();
-    sopts.base_latency = options_.base_latency;
-    sopts.jitter = options_.jitter;
     sopts.durable_logs = options_.durable_logs;
     sopts.wal_dir = options_.wal_dir;
     sopts.checkpoint_every = options_.checkpoint_every;

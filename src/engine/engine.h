@@ -28,14 +28,9 @@ struct EngineOptions {
   /// Instances a shard interleaves at once; further commands wait in its
   /// mailbox (bounds live memory at shards × max_resident worlds).
   size_t max_resident_per_shard = 64;
-  /// Seed for the per-instance network RNG streams. Together with the
-  /// submission order (which fixes instance ids), this fully determines
-  /// every instance's history — independent of shard count.
+  /// Has no effect: instance worlds draw no random numbers. Kept for
+  /// callers that still set it.
   uint64_t seed = 1;
-  /// Per-instance simulated network latency between distinct sites, plus
-  /// uniform jitter drawn from the instance's seeded RNG.
-  SimTime base_latency = 1000;
-  SimTime jitter = 0;
   /// Keep one EventLog per instance and return its serialized form in the
   /// InstanceResult, enabling Engine::Recover after a crash.
   bool durable_logs = false;
@@ -87,8 +82,8 @@ struct EngineMetricsSnapshot {
   uint64_t instances_in_flight = 0;
   /// Occurrences across completed instances.
   uint64_t events = 0;
-  /// Simulator events executed across all shards (scheduler + network
-  /// machinery included): the engine's true work rate.
+  /// Run-queue steps executed across all shards (attempts and protocol
+  /// message deliveries): the engine's true work rate.
   uint64_t sim_steps = 0;
   double wall_seconds = 0;
   /// events / wall_seconds: aggregate multi-instance throughput.
@@ -100,8 +95,10 @@ struct EngineMetricsSnapshot {
 
   /// Percentile digest of one histogram visible to the snapshot: always
   /// engine.latency_us and engine.admission_wait_us; after Stop() also the
-  /// per-shard registries merged across shards (net.latency_us, and the
-  /// sched.* lifecycle histograms when EngineOptions::lifecycle_metrics).
+  /// per-shard registries merged across shards (the sched.* lifecycle
+  /// histograms when EngineOptions::lifecycle_metrics). No simulated time
+  /// passes inside an instance world, so sched.decision_latency_us reads
+  /// 0; the wall-clock figure is engine.latency_us.
   struct HistogramSummary {
     std::string name;
     uint64_t count = 0;
@@ -130,8 +127,8 @@ struct EngineMetricsSnapshot {
 
   /// Publishes the snapshot as "engine.*" gauges (plus per-shard
   /// "engine.shard<k>.*" and "<histogram>.p50/.p99/.mean/.count" percentile
-  /// gauges) into `registry`, alongside whatever "sched.*" / "net.*"
-  /// metrics the caller already collects there. Call from the thread that
+  /// gauges) into `registry`, alongside whatever "sched.*" metrics the
+  /// caller already collects there. Call from the thread that
   /// owns the registry.
   void PublishTo(obs::MetricsRegistry* registry) const;
   /// Multi-line human-readable rendering (examples, operator dumps),
@@ -148,10 +145,10 @@ struct EngineMetricsSnapshot {
 
 /// The multi-instance workflow engine: compiles a spec once per shard and
 /// runs N workflow instances across K worker shards, each instance an
-/// isolated deterministic world (own simulator, network, distributed guard
-/// scheduler) — the sharding story Singh's instance-local guard synthesis
-/// licenses (§4.2–4.3: guards consult only announcements of their own
-/// instance). See docs/ENGINE.md.
+/// isolated deterministic world (own run queue and co-located distributed
+/// guard scheduler; no simulated network, no RNG) — the sharding story
+/// Singh's instance-local guard synthesis licenses (§4.2–4.3: guards
+/// consult only announcements of their own instance). See docs/ENGINE.md.
 ///
 /// Lifecycle: construct (threads start, optionally paused) → Submit /
 /// TrySubmit / Recover → Drain → TakeResults → Stop (idempotent; the
@@ -217,7 +214,7 @@ class Engine {
 
   /// Folds every engine-owned registry into `out`: the manager's latency
   /// histograms always (safe mid-run), and the per-shard registries
-  /// ("sched.*", "net.*") once the engine is stopped (they are
+  /// ("sched.*", "engine.wal.*") once the engine is stopped (they are
   /// worker-thread-confined while shards run). Feed the result to
   /// obs::PrometheusText for a scrape snapshot.
   void MergeMetricsInto(obs::MetricsRegistry* out) const;
@@ -237,8 +234,8 @@ class Engine {
 
   size_t shard_count() const { return shards_.size(); }
   const EngineSpec& spec() const { return *spec_; }
-  /// A stopped shard's private registry ("sched.*", "net.*" across its
-  /// instances). Only meaningful after Stop().
+  /// A stopped shard's private registry ("sched.*", "engine.wal.*" across
+  /// its instances). Only meaningful after Stop().
   const obs::MetricsRegistry& shard_metrics(size_t shard) const {
     return shards_[shard]->metrics();
   }

@@ -41,8 +41,9 @@ class EngineSpec {
 
   /// The workflow's name (from the spec text or the template).
   const std::string& name() const { return name_; }
-  /// Number of sites the per-instance network needs (max declared site +1,
-  /// at least 1).
+  /// Number of sites the workflow's agents span (max declared site + 1, at
+  /// least 1), for callers that simulate an instance's network themselves;
+  /// engine instance worlds have none.
   size_t site_count() const { return site_count_; }
 
  private:

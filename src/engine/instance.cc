@@ -1,5 +1,6 @@
 #include "engine/instance.h"
 
+#include "common/logging.h"
 #include "common/strings.h"
 
 namespace cdes::engine {
@@ -63,11 +64,6 @@ Status InstanceManager::AdmitRecovered(uint64_t id) {
   ++submitted_;
   if (id >= next_id_) next_id_ = id + 1;
   return Status::OK();
-}
-
-void InstanceManager::ReserveThrough(uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id >= next_id_) next_id_ = id + 1;
 }
 
 void InstanceManager::Drain() {

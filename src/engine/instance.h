@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "obs/obs.h"
-#include "sim/simulator.h"
 
 namespace cdes::engine {
 
@@ -19,8 +18,8 @@ namespace cdes::engine {
 inline constexpr int kEngineTracePid = 1 << 20;
 
 /// What one workflow instance should do: a sequence of event-literal names
-/// attempted in order (each run to quiescence inside the instance's own
-/// simulated world), optionally followed by closure to a maximal trace.
+/// attempted in order (each run to quiescence on the instance's own run
+/// queue), optionally followed by closure to a maximal trace.
 /// Names are unmangled spec names ("s_buy", "~c_buy"): every instance runs
 /// in its own scheduler world, so instances never share symbols.
 struct InstanceScript {
@@ -46,7 +45,6 @@ struct InstanceResult {
   size_t events = 0;
   size_t accepted = 0;
   size_t rejected = 0;
-  SimTime sim_time = 0;
   /// Rendered occurrence history, e.g. "s_book s_buy c_book c_buy".
   std::string history;
   /// Serialized per-instance EventLog (EngineOptions::durable_logs only);
@@ -101,9 +99,6 @@ class InstanceManager {
   /// flight (blocking on the admission limit) and ensures future Admit
   /// calls allocate strictly above it.
   Status AdmitRecovered(uint64_t id);
-  /// Ensures future Admit calls allocate ids strictly above `id` (recovery
-  /// re-registers previously issued ids).
-  void ReserveThrough(uint64_t id);
   /// Blocks until every admitted instance has completed.
   void Drain();
 

@@ -9,20 +9,9 @@
 namespace cdes::engine {
 namespace {
 
-/// Simulator events one instance may execute per cooperative turn before
+/// Run-queue steps one instance may execute per cooperative turn before
 /// yielding to the next resident instance.
 constexpr size_t kStepBatch = 64;
-
-/// splitmix64 over (engine seed, instance id): decorrelated per-instance
-/// RNG streams that depend on nothing a shard knows — the determinism
-/// guarantee "same seed + same submission order ⇒ identical per-instance
-/// histories regardless of shard count" rests on this.
-uint64_t MixSeed(uint64_t seed, uint64_t id) {
-  uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (id + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 }  // namespace
 
@@ -170,14 +159,6 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
   r->result.tag = r->script.tag;
   r->result.shard = options_.index;
 
-  NetworkOptions nopts;
-  nopts.base_latency = options_.base_latency;
-  nopts.local_latency = options_.local_latency;
-  nopts.jitter = options_.jitter;
-  nopts.seed = MixSeed(options_.seed, cmd.id);
-  nopts.metrics = &metrics_;
-  r->net = std::make_unique<Network>(&r->sim, options_.sites, nopts);
-
   GuardSchedulerOptions sopts;
   sopts.metrics = &metrics_;
   sopts.lifecycle_instrumentation = options_.lifecycle_metrics;
@@ -191,7 +172,7 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
     sopts.durable_log = r->log.get();
   }
   r->sched = std::make_unique<GuardScheduler>(ctx_.get(), compiled_,
-                                              workflow_, r->net.get(), sopts);
+                                              workflow_, &r->sim, sopts);
 
   if (cmd.kind == EngineCommand::Kind::kRecover) {
     // Rebuild pre-crash state from the serialized log. LoadTolerant is the
@@ -345,7 +326,6 @@ void Shard::MaybeCheckpoint(Resident& r) {
 void Shard::Finish(Resident& r) {
   if (r.result.error.empty()) {
     r.result.events = r.sched->history().size();
-    r.result.sim_time = r.sim.now();
     r.result.maximal = r.sched->Undecided().empty();
     // A maximal trace must satisfy every dependency outright; a partial
     // one only has to keep every residual satisfiable.

@@ -17,7 +17,6 @@
 #include "guards/workflow.h"
 #include "obs/obs.h"
 #include "sched/guard_scheduler.h"
-#include "sim/network.h"
 #include "sim/simulator.h"
 
 namespace cdes::engine {
@@ -28,15 +27,6 @@ struct ShardOptions {
   /// Cap on instances interleaved on the shard at once; commands beyond it
   /// wait in the mailbox.
   size_t max_resident = 64;
-  /// Engine seed; each instance's network RNG is seeded from (seed,
-  /// instance id) only, which is what makes histories independent of shard
-  /// count and placement.
-  uint64_t seed = 1;
-  /// Per-instance simulated-network shape.
-  size_t sites = 1;
-  SimTime base_latency = 1000;
-  SimTime local_latency = 1;
-  SimTime jitter = 0;
   /// Keep a per-instance EventLog and ship its serialized form in the
   /// result (enables Engine::Recover).
   bool durable_logs = false;
@@ -69,14 +59,15 @@ struct ShardOptions {
 
 /// One worker: a thread owning an MPSC mailbox of EngineCommands and a set
 /// of resident workflow instances it steps cooperatively (round-robin, a
-/// bounded batch of simulator events per instance per turn — so thousands
+/// bounded batch of run-queue steps per instance per turn — so thousands
 /// of submitted instances make progress with at most `max_resident` worlds
-/// live at once).
+/// live at once). An instance world is a Simulator (FIFO run queue and
+/// stamp clock), an optional EventLog and a co-located GuardScheduler.
 ///
 /// Thread-confinement is the shard's whole concurrency story: the
 /// WorkflowContext (arenas, alphabet), the compiled guard table, every
-/// resident Simulator/Network/GuardScheduler, and the shard's
-/// MetricsRegistry are touched exclusively by the worker thread. The
+/// resident Simulator/GuardScheduler, and the shard's MetricsRegistry are
+/// touched exclusively by the worker thread. The
 /// compiled table is materialized once on that thread and shared by all
 /// resident instances via CompiledWorkflowRef — the hash-consed arenas
 /// double as a cross-instance memo: reductions computed for one instance
@@ -116,14 +107,14 @@ class Shard {
     return sim_steps_.load(std::memory_order_relaxed);
   }
 
-  /// The shard-private registry all resident schedulers and networks
-  /// report into ("sched.*", "net.*"). Worker-thread-confined while the
-  /// shard runs: read it only after Join().
+  /// The shard-private registry all resident schedulers report into
+  /// ("sched.*", "engine.wal.*", cache counters). Worker-thread-confined
+  /// while the shard runs: read it only after Join().
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
   /// One live instance world. Members are declared in dependency order
-  /// (sim before net before sched) so destruction unwinds safely.
+  /// (sim and log before sched) so destruction unwinds safely.
   struct Resident {
     uint64_t id = 0;
     uint64_t submitted_at_us = 0;
@@ -138,7 +129,6 @@ class Shard {
     /// (Engine::Checkpoint / kCheckpoint command).
     bool force_checkpoint = false;
     Simulator sim;
-    std::unique_ptr<Network> net;
     std::unique_ptr<EventLog> log;
     std::unique_ptr<GuardScheduler> sched;
     InstanceResult result;

@@ -16,16 +16,6 @@ class Simulator;
 
 namespace cdes::obs {
 
-/// The pair of handles a component needs to be observable. Either may be
-/// null; components that always need metrics (the stats-struct absorption)
-/// fall back to a privately owned registry.
-struct Observability {
-  TraceRecorder* tracer = nullptr;
-  MetricsRegistry* metrics = nullptr;
-
-  bool enabled() const { return tracer != nullptr || metrics != nullptr; }
-};
-
 /// Pre-resolved instrumentation handles handed to each EventActor by its
 /// scheduler, so the actor hot path never does registry lookups. All
 /// pointers null ⇒ the actor records nothing beyond its normal work.

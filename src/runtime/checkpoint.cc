@@ -1,22 +1,12 @@
 #include "runtime/checkpoint.h"
 
+#include <limits>
 #include <utility>
 
 #include "common/strings.h"
 
 namespace cdes {
 namespace {
-
-bool ParseU64(std::string_view field, uint64_t* out) {
-  if (field.empty()) return false;
-  uint64_t value = 0;
-  for (char c : field) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
 
 /// Splits an s-expression into tokens: parentheses and whitespace-delimited
 /// atoms. Literal names cannot contain spaces or parens (the spec parser
@@ -44,14 +34,26 @@ Status Malformed(std::string_view what) {
   return Status::InvalidArgument(StrCat("malformed ", what, " s-expression"));
 }
 
+Status TooDeep() {
+  return Status::InvalidArgument(
+      StrCat("s-expression nested deeper than ", kMaxNestingDepth));
+}
+
+/// `status` prefixed with the payload line it concerns.
+Status AtLine(size_t lineno, const Status& status) {
+  return Status::InvalidArgument(
+      StrCat("checkpoint payload line ", lineno, ": ", status.message()));
+}
+
+// `depth` counts the parentheses open around the token at *pos.
 Result<const Expr*> ParseExprTokens(ExprArena* exprs, const Alphabet& alphabet,
                                     const std::vector<std::string>& tokens,
-                                    size_t* pos);
+                                    size_t* pos, int depth);
 
 Result<const Guard*> ParseGuardTokens(GuardArena* guards,
                                       const Alphabet& alphabet,
                                       const std::vector<std::string>& tokens,
-                                      size_t* pos) {
+                                      size_t* pos, int depth) {
   if (*pos >= tokens.size()) return Malformed("guard");
   const std::string& tok = tokens[(*pos)++];
   if (tok == "^GT") return guards->True();
@@ -60,6 +62,7 @@ Result<const Guard*> ParseGuardTokens(GuardArena* guards,
     return Status::InvalidArgument(
         StrCat("unexpected guard token '", tok, "'"));
   }
+  if (++depth > kMaxNestingDepth) return TooDeep();
   if (*pos >= tokens.size()) return Malformed("guard");
   const std::string& op = tokens[(*pos)++];
   if (op == "box" || op == "neg") {
@@ -73,7 +76,7 @@ Result<const Guard*> ParseGuardTokens(GuardArena* guards,
                        : guards->Neg(literal.value());
   }
   if (op == "dia") {
-    auto expr = ParseExprTokens(guards->exprs(), alphabet, tokens, pos);
+    auto expr = ParseExprTokens(guards->exprs(), alphabet, tokens, pos, depth);
     if (!expr.ok()) return expr.status();
     if (*pos >= tokens.size() || tokens[(*pos)++] != ")") {
       return Malformed("guard");
@@ -83,7 +86,7 @@ Result<const Guard*> ParseGuardTokens(GuardArena* guards,
   if (op == "and" || op == "or") {
     std::vector<const Guard*> children;
     while (*pos < tokens.size() && tokens[*pos] != ")") {
-      auto child = ParseGuardTokens(guards, alphabet, tokens, pos);
+      auto child = ParseGuardTokens(guards, alphabet, tokens, pos, depth);
       if (!child.ok()) return child.status();
       children.push_back(child.value());
     }
@@ -96,7 +99,7 @@ Result<const Guard*> ParseGuardTokens(GuardArena* guards,
 
 Result<const Expr*> ParseExprTokens(ExprArena* exprs, const Alphabet& alphabet,
                                     const std::vector<std::string>& tokens,
-                                    size_t* pos) {
+                                    size_t* pos, int depth) {
   if (*pos >= tokens.size()) return Malformed("expr");
   const std::string& tok = tokens[(*pos)++];
   if (tok == "^T") return exprs->Top();
@@ -106,6 +109,7 @@ Result<const Expr*> ParseExprTokens(ExprArena* exprs, const Alphabet& alphabet,
     if (!literal.ok()) return literal.status();
     return exprs->Atom(literal.value());
   }
+  if (++depth > kMaxNestingDepth) return TooDeep();
   if (*pos >= tokens.size()) return Malformed("expr");
   const std::string& op = tokens[(*pos)++];
   if (op != "seq" && op != "or" && op != "and") {
@@ -113,7 +117,7 @@ Result<const Expr*> ParseExprTokens(ExprArena* exprs, const Alphabet& alphabet,
   }
   std::vector<const Expr*> children;
   while (*pos < tokens.size() && tokens[*pos] != ")") {
-    auto child = ParseExprTokens(exprs, alphabet, tokens, pos);
+    auto child = ParseExprTokens(exprs, alphabet, tokens, pos, depth);
     if (!child.ok()) return child.status();
     children.push_back(child.value());
   }
@@ -179,7 +183,7 @@ Result<const Guard*> GuardFromSexpr(GuardArena* guards,
                                     std::string_view text) {
   std::vector<std::string> tokens = Tokenize(text);
   size_t pos = 0;
-  auto guard = ParseGuardTokens(guards, alphabet, tokens, &pos);
+  auto guard = ParseGuardTokens(guards, alphabet, tokens, &pos, 0);
   if (!guard.ok()) return guard.status();
   if (pos != tokens.size()) {
     return Status::InvalidArgument("trailing tokens after guard");
@@ -191,7 +195,7 @@ Result<const Expr*> ExprFromSexpr(ExprArena* exprs, const Alphabet& alphabet,
                                   std::string_view text) {
   std::vector<std::string> tokens = Tokenize(text);
   size_t pos = 0;
-  auto expr = ParseExprTokens(exprs, alphabet, tokens, &pos);
+  auto expr = ParseExprTokens(exprs, alphabet, tokens, &pos, 0);
   if (!expr.ok()) return expr.status();
   if (pos != tokens.size()) {
     return Status::InvalidArgument("trailing tokens after expr");
@@ -357,7 +361,9 @@ Result<CheckpointState> ParseCheckpoint(GuardArena* guards,
       if (!NextField(&line, &f1) || !NextField(&line, &f2) ||
           !NextField(&line, &f3) || !NextField(&line, &f4) ||
           !ParseU64(f1, &src) || !ParseU64(f2, &dst) ||
-          !ParseU64(f3, &c.send_next) || !ParseU64(f4, &c.recv_contiguous)) {
+          !ParseU64(f3, &c.send_next) || !ParseU64(f4, &c.recv_contiguous) ||
+          src > std::numeric_limits<int>::max() ||
+          dst > std::numeric_limits<int>::max()) {
         return Status::InvalidArgument("malformed checkpoint chan line");
       }
       c.src = static_cast<int>(src);
@@ -389,9 +395,9 @@ Result<CheckpointState> ParseCheckpoint(GuardArena* guards,
             "'"));
       }
       auto positive = GuardFromSexpr(guards, alphabet, pos_line.substr(4));
-      if (!positive.ok()) return positive.status();
+      if (!positive.ok()) return AtLine(cursor.lineno() - 1, positive.status());
       auto negative = GuardFromSexpr(guards, alphabet, neg_line.substr(4));
-      if (!negative.ok()) return negative.status();
+      if (!negative.ok()) return AtLine(cursor.lineno(), negative.status());
       actor.positive = positive.value();
       actor.negative = negative.value();
       state.actors.push_back(actor);

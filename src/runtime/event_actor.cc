@@ -428,7 +428,9 @@ void EventActor::Reevaluate() {
     if (decided_) break;
     for (size_t i = 0; i < pending_requests_.size(); ++i) {
       if (TryAnswerPromiseRequest(pending_requests_[i])) {
-        pending_requests_.erase(pending_requests_.begin() + i);
+        // A trigger-backed answer can make this actor occur (through
+        // ReviewObligations), and Occur already emptied the queue.
+        if (!decided_) pending_requests_.erase(pending_requests_.begin() + i);
         changed = true;
         break;
       }

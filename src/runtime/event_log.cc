@@ -44,17 +44,6 @@ uint64_t PayloadLineCount(const std::string& payload) {
   return n;
 }
 
-bool ParseU64(const std::string& field, uint64_t* out) {
-  if (field.empty()) return false;
-  uint64_t value = 0;
-  for (char c : field) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
 }  // namespace

@@ -51,7 +51,7 @@ std::vector<ParkedDiagnosis> DiagnoseParked(WorkflowContext* ctx,
         scheduler->tracer()->Instant(
             obs::SpanCategory::kLifecycle,
             StrCat("doomed ", ctx->alphabet()->LiteralName(literal)),
-            scheduler->network()->sim()->now(), actor->site(), symbol,
+            scheduler->sim()->now(), actor->site(), symbol,
             {{"guard", diagnosis.guard}});
       }
       out.push_back(std::move(diagnosis));

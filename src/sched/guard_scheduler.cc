@@ -21,7 +21,7 @@ GuardScheduler::GuardScheduler(WorkflowContext* ctx,
                                const ParsedWorkflow& workflow,
                                Network* network,
                                const GuardSchedulerOptions& options)
-    : ctx_(ctx), network_(network),
+    : ctx_(ctx), sim_(network->sim()),
       transport_(std::make_unique<ReliableTransport>(network,
                                                      options.reliability)),
       options_(options) {
@@ -33,10 +33,19 @@ GuardScheduler::GuardScheduler(WorkflowContext* ctx,
                                const ParsedWorkflow& workflow,
                                Network* network,
                                const GuardSchedulerOptions& options)
-    : ctx_(ctx), network_(network),
+    : ctx_(ctx), sim_(network->sim()),
       transport_(std::make_unique<ReliableTransport>(network,
                                                      options.reliability)),
       options_(options) {
+  CDES_CHECK(compiled != nullptr);
+  Init(workflow, std::move(compiled));
+}
+
+GuardScheduler::GuardScheduler(WorkflowContext* ctx,
+                               CompiledWorkflowRef compiled,
+                               const ParsedWorkflow& workflow, Simulator* sim,
+                               const GuardSchedulerOptions& options)
+    : ctx_(ctx), sim_(sim), options_(options) {
   CDES_CHECK(compiled != nullptr);
   Init(workflow, std::move(compiled));
 }
@@ -64,7 +73,7 @@ void GuardScheduler::Init(const ParsedWorkflow& workflow,
   rejected_ = metrics_->counter("sched.decisions.rejected");
   actor_obs_.tracer = tracer_;
   actor_obs_.alphabet = ctx_->alphabet();
-  actor_obs_.sim = network_->sim();
+  actor_obs_.sim = sim_;
   if (observe_lifecycle_) {
     decision_latency_ = metrics_->histogram("sched.decision_latency_us");
     actor_obs_.reduction_steps =
@@ -212,7 +221,7 @@ void GuardScheduler::Attempt(EventLiteral literal, AttemptCallback done) {
   if (observe_lifecycle_) {
     done = WrapAttempt(literal, actor->site(), std::move(done));
   }
-  network_->sim()->Schedule(0, [actor, literal, done = std::move(done)] {
+  sim_->Schedule(0, [actor, literal, done = std::move(done)] {
     actor->Attempt(literal, done);
   });
 }
@@ -220,7 +229,7 @@ void GuardScheduler::Attempt(EventLiteral literal, AttemptCallback done) {
 AttemptCallback GuardScheduler::WrapAttempt(EventLiteral literal, int site,
                                             AttemptCallback done) {
   uint64_t attempt_id = ++attempt_seq_;
-  SimTime t0 = network_->sim()->now();
+  SimTime t0 = sim_->now();
   uint64_t lane = literal.symbol();
   std::string name = ctx_->alphabet()->LiteralName(literal);
   if (tracer_ != nullptr) {
@@ -229,7 +238,7 @@ AttemptCallback GuardScheduler::WrapAttempt(EventLiteral literal, int site,
   }
   return [this, t0, attempt_id, site, lane, name = std::move(name),
           done = std::move(done)](Decision decision) {
-    SimTime now = network_->sim()->now();
+    SimTime now = sim_->now();
     std::string park_key = StrCat("park:", attempt_id);
     if (decision == Decision::kParked) {
       if (tracer_ != nullptr) {
@@ -338,7 +347,7 @@ void GuardScheduler::TraceSend(SymbolId from, SymbolId target,
                                const RuntimeMessage& msg) {
   const Alphabet& alphabet = *ctx_->alphabet();
   int src_site = actors_.at(from)->site();
-  SimTime now = network_->sim()->now();
+  SimTime now = sim_->now();
   if (msg.span_id != 0) {
     // Flow arrow origin; TraceDeliver emits the matching end at the
     // destination when the message finally lands.
@@ -379,7 +388,7 @@ void GuardScheduler::TraceSend(SymbolId from, SymbolId target,
 void GuardScheduler::TraceDeliver(const RuntimeMessage& msg,
                                   const EventActor* to) {
   if (tracer_ == nullptr || msg.span_id == 0) return;
-  SimTime now = network_->sim()->now();
+  SimTime now = sim_->now();
   tracer_->Instant(obs::SpanCategory::kMessage,
                    StrCat("assimilate ",
                           ctx_->alphabet()->LiteralName(msg.literal)),
@@ -395,24 +404,7 @@ void GuardScheduler::Broadcast(SymbolId from, const RuntimeMessage& msg) {
   if (it == subscribers_.end()) return;
   int src_site = actors_.at(from)->site();
   for (SymbolId target : it->second) {
-    EventActor* actor = actors_.at(target).get();
-    CountMessage(msg.kind);
-    if (tracer_ != nullptr) {
-      // Stamp causal context per target: each copy of the broadcast gets
-      // its own span id, so every delivery draws its own flow arrow.
-      RuntimeMessage traced = msg;
-      traced.trace_id = options_.trace_id;
-      traced.span_id = ++next_span_id_;
-      TraceSend(from, target, traced);
-      transport_->Send(src_site, actor->site(), options_.message_bytes,
-                       [this, actor, traced] {
-                         TraceDeliver(traced, actor);
-                         actor->Receive(traced);
-                       });
-      continue;
-    }
-    transport_->Send(src_site, actor->site(), options_.message_bytes,
-                     [actor, msg] { actor->Receive(msg); });
+    Send(from, src_site, actors_.at(target).get(), msg);
   }
 }
 
@@ -420,27 +412,40 @@ void GuardScheduler::SendTo(SymbolId from, SymbolId target,
                             const RuntimeMessage& msg) {
   auto it = actors_.find(target);
   if (it == actors_.end()) return;
-  EventActor* actor = it->second.get();
-  int src_site = actors_.at(from)->site();
+  Send(from, actors_.at(from)->site(), it->second.get(), msg);
+}
+
+void GuardScheduler::Send(SymbolId from, int src_site, EventActor* to,
+                          const RuntimeMessage& msg) {
   CountMessage(msg.kind);
-  if (tracer_ != nullptr) {
-    RuntimeMessage traced = msg;
-    traced.trace_id = options_.trace_id;
-    traced.span_id = ++next_span_id_;
-    TraceSend(from, target, traced);
-    transport_->Send(src_site, actor->site(), options_.message_bytes,
-                     [this, actor, traced] {
-                       TraceDeliver(traced, actor);
-                       actor->Receive(traced);
-                     });
+  if (tracer_ == nullptr) {
+    Deliver(src_site, to->site(), [to, msg] { to->Receive(msg); });
     return;
   }
-  transport_->Send(src_site, actor->site(), options_.message_bytes,
-                   [actor, msg] { actor->Receive(msg); });
+  // Stamp causal context per copy: each copy of a broadcast gets its own
+  // span id, so every delivery draws its own flow arrow.
+  RuntimeMessage traced = msg;
+  traced.trace_id = options_.trace_id;
+  traced.span_id = ++next_span_id_;
+  TraceSend(from, to->symbol(), traced);
+  Deliver(src_site, to->site(), [this, to, traced] {
+    TraceDeliver(traced, to);
+    to->Receive(traced);
+  });
+}
+
+void GuardScheduler::Deliver(int src_site, int dst_site,
+                             Simulator::Callback fn) {
+  if (transport_ != nullptr) {
+    transport_->Send(src_site, dst_site, options_.message_bytes,
+                     std::move(fn));
+  } else {
+    sim_->Schedule(0, std::move(fn));
+  }
 }
 
 OccurrenceStamp GuardScheduler::NextStamp() {
-  return OccurrenceStamp{network_->sim()->now(), next_seq_++};
+  return OccurrenceStamp{sim_->now(), next_seq_++};
 }
 
 void GuardScheduler::RecordOccurrence(EventLiteral literal,
@@ -471,7 +476,7 @@ Status GuardScheduler::Recover(const EventLog& log) {
       ->Increment(log.records().size());
   if (tracer_ != nullptr) {
     tracer_->Complete(obs::SpanCategory::kRecovery, "recovery replay",
-                      network_->sim()->now(), 0, 0, 0,
+                      sim_->now(), 0, 0, 0,
                       {{"records", StrCat(log.records().size())},
                        {"checkpointed",
                         log.checkpoint() != nullptr ? "1" : "0"}});
@@ -514,7 +519,7 @@ Status GuardScheduler::Recover(const EventLog& log) {
       actor->RestoreBaseline(baseline.positive, baseline.negative);
     }
     if (state.next_seq > next_seq_) next_seq_ = state.next_seq;
-    transport_->RestoreChannels(state.channels);
+    if (transport_ != nullptr) transport_->RestoreChannels(state.channels);
   }
   // Pass 1: restore decisions and the history, and advance the stamp
   // sequence past everything logged.
@@ -560,11 +565,11 @@ CheckpointState GuardScheduler::Snapshot() const {
   // announcement still in flight would be inside neither the snapshot's
   // baselines nor the post-checkpoint log suffix, and nobody re-announces
   // covered occurrences after recovery.
-  CDES_CHECK(network_->sim()->pending() == 0)
+  CDES_CHECK(sim_->pending() == 0)
       << "checkpoints require a quiescent instance";
   CheckpointState state;
   state.next_seq = next_seq_;
-  state.clock = network_->sim()->now();
+  state.clock = sim_->now();
   state.history = history_;
   for (const auto& [symbol, actor] : actors_) {
     if (actor->decided()) continue;
@@ -583,7 +588,7 @@ CheckpointState GuardScheduler::Snapshot() const {
     }
     state.actors.push_back({symbol, heard_positive, heard_negative});
   }
-  state.channels = transport_->SnapshotChannels();
+  if (transport_ != nullptr) state.channels = transport_->SnapshotChannels();
   return state;
 }
 

@@ -87,7 +87,8 @@ struct GuardSchedulerStats {
 /// agent; each actor holds precompiled guards for its two literals and
 /// decides occurrences purely from local state plus incoming announcements
 /// and promises. There is no central component: every message is
-/// actor-to-actor through the simulated network.
+/// actor-to-actor, through the simulated network or, for co-located
+/// actors, through the simulator's run queue.
 class GuardScheduler : public Scheduler, public ActorHost {
  public:
   /// Compiles `workflow` in `ctx` and instantiates actors on `network`'s
@@ -104,6 +105,15 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// skipping the exponential per-dependency canonicalization each time.
   GuardScheduler(WorkflowContext* ctx, CompiledWorkflowRef compiled,
                  const ParsedWorkflow& workflow, Network* network,
+                 const GuardSchedulerOptions& options = {});
+
+  /// Co-located actors (the engine's instance worlds): no network, no
+  /// reliable-delivery layer, no RNG. Attempts and messages are posted on
+  /// `sim` at zero delay and run in send order — with every attempt run to
+  /// quiescence and every actor on its own site, the order a zero-jitter
+  /// Network delivers in.
+  GuardScheduler(WorkflowContext* ctx, CompiledWorkflowRef compiled,
+                 const ParsedWorkflow& workflow, Simulator* sim,
                  const GuardSchedulerOptions& options = {});
 
   /// Installs a further workflow instance at runtime (§5.1: "Attempting
@@ -145,8 +155,10 @@ class GuardScheduler : public Scheduler, public ActorHost {
   obs::TraceRecorder* tracer() const { return tracer_; }
   /// The guard profiler evaluations report into, or nullptr.
   obs::GuardProfiler* profiler() const { return options_.profiler; }
-  Network* network() const { return network_; }
-  /// The exactly-once delivery layer protocol messages ride on.
+  /// The simulator attempts and messages run on (the stamp clock).
+  Simulator* sim() const { return sim_; }
+  /// The exactly-once delivery layer protocol messages ride on over a
+  /// Network, or nullptr for co-located actors.
   ReliableTransport* transport() const { return transport_.get(); }
   /// Symbols of all installed instances.
   const std::set<SymbolId>& symbols() const { return symbols_; }
@@ -176,7 +188,8 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// Captures the durable portion of the live state as a checkpoint:
   /// history, stamp sequence, instance clock, heard-residual baselines of
   /// undecided actors whose guards have moved off the compiled table
-  /// (pointer comparison — arenas hash-cons), and transport watermarks.
+  /// (pointer comparison — arenas hash-cons), and transport watermarks
+  /// (none for co-located actors; Recover then ignores `chan` lines).
   /// Requires quiescence (no simulator events or transport frames in
   /// flight): a cut taken mid-announcement would capture one actor before
   /// hearing an occurrence that nobody will re-announce after recovery.
@@ -219,6 +232,12 @@ class GuardScheduler : public Scheduler, public ActorHost {
   AttemptCallback WrapAttempt(EventLiteral literal, int site,
                               AttemptCallback done);
   void CountMessage(RuntimeMessageKind kind);
+  /// Counts, traces and delivers one protocol message to `to`.
+  void Send(SymbolId from, int src_site, EventActor* to,
+            const RuntimeMessage& msg);
+  /// Hands one delivery to the transport, or, for co-located actors, posts
+  /// it on the run queue at zero delay.
+  void Deliver(int src_site, int dst_site, Simulator::Callback fn);
   /// O(1) actor lookup through the dense index; nullptr when `symbol` has
   /// no actor in this scheduler.
   EventActor* FindActor(SymbolId symbol) const {
@@ -231,7 +250,8 @@ class GuardScheduler : public Scheduler, public ActorHost {
   void TraceDeliver(const RuntimeMessage& msg, const EventActor* to);
 
   WorkflowContext* ctx_;
-  Network* network_;
+  Simulator* sim_;
+  /// Null for co-located actors.
   std::unique_ptr<ReliableTransport> transport_;
   GuardSchedulerOptions options_;
   /// Per-literal compiled guards across all installed instances.

@@ -1,6 +1,7 @@
 #include "spec/parser.h"
 
 #include <cctype>
+#include <climits>
 #include <map>
 
 #include "algebra/generator.h"
@@ -203,6 +204,29 @@ class Parser {
     return At(TokenKind::kIdent) && Peek().text == kw;
   }
 
+  /// Takes the integer token at the cursor as a value in [0, max]: a
+  /// literal too large for its field is an error, not a throw or a wrap.
+  Result<int64_t> TakeInt(std::string_view what, int64_t max = INT64_MAX) {
+    uint64_t value = 0;
+    if (!ParseU64(Peek().text, &value) ||
+        value > static_cast<uint64_t>(max)) {
+      return ErrorHere(StrCat(what, " out of range"));
+    }
+    Take();
+    return static_cast<int64_t>(value);
+  }
+
+  /// Guards a '(' about to be taken: recursive descent spends a few stack
+  /// frames per level, so nesting is capped far below stack exhaustion.
+  Status EnterParen() {
+    if (depth_ == kMaxNestingDepth) {
+      return ErrorHere(
+          StrCat("parentheses nested deeper than ", kMaxNestingDepth));
+    }
+    ++depth_;
+    return Status::OK();
+  }
+
   Result<ParsedWorkflow> ParseOne() {
     if (!AtKeyword("workflow")) {
       return ErrorHere("expected 'workflow'");
@@ -244,7 +268,8 @@ class Parser {
       Take();
       CDES_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "'('"));
       if (!At(TokenKind::kInt)) return ErrorHere("expected site number");
-      agent.site = std::stoi(Take().text);
+      CDES_ASSIGN_OR_RETURN(int64_t site, TakeInt("site number", INT_MAX));
+      agent.site = static_cast<int>(site);
       CDES_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
     }
     CDES_RETURN_IF_ERROR(Expect(TokenKind::kSemi, "';'"));
@@ -369,18 +394,18 @@ class Parser {
     Take();  // 'agent'
     if (!At(TokenKind::kIdent)) return ErrorHere("expected agent name");
     std::string name = Take().text;
-    int site = 0;
+    int64_t site = 0;
     if (At(TokenKind::kAt)) {
       Take();
       if (!AtKeyword("site")) return ErrorHere("expected 'site'");
       Take();
       CDES_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "'('"));
       if (!At(TokenKind::kInt)) return ErrorHere("expected site number");
-      site = std::stoi(Take().text);
+      CDES_ASSIGN_OR_RETURN(site, TakeInt("site number", INT_MAX));
       CDES_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
     }
     CDES_RETURN_IF_ERROR(Expect(TokenKind::kSemi, "';'"));
-    tmpl->AddAgent(name, site);
+    tmpl->AddAgent(name, static_cast<int>(site));
     return Status::OK();
   }
 
@@ -395,7 +420,8 @@ class Parser {
         if (At(TokenKind::kIdent)) {
           atom.args.push_back(PTerm::Var(Take().text));
         } else if (At(TokenKind::kInt)) {
-          atom.args.push_back(PTerm::Val(std::stoll(Take().text)));
+          CDES_ASSIGN_OR_RETURN(ParamValue value, TakeInt("constant"));
+          atom.args.push_back(PTerm::Val(value));
         } else {
           return ErrorHere("expected parameter or constant");
         }
@@ -512,8 +538,10 @@ class Parser {
       return PExpr::Atom(std::move(atom));
     }
     if (At(TokenKind::kLParen)) {
+      CDES_RETURN_IF_ERROR(EnterParen());
       Take();
       CDES_ASSIGN_OR_RETURN(PExpr inner, ParseTExpr(declared));
+      --depth_;
       CDES_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
       return inner;
     }
@@ -555,7 +583,8 @@ class Parser {
         return ErrorHere(StrCat("template '", name, "' takes ",
                                 params.size(), " parameter(s)"));
       }
-      binding[params[index++]] = std::stoll(Take().text);
+      CDES_ASSIGN_OR_RETURN(ParamValue value, TakeInt("parameter value"));
+      binding[params[index++]] = value;
       if (At(TokenKind::kComma)) {
         Take();
         continue;
@@ -637,8 +666,10 @@ class Parser {
       return ctx_->exprs()->Atom(EventLiteral::Complement(s));
     }
     if (At(TokenKind::kLParen)) {
+      CDES_RETURN_IF_ERROR(EnterParen());
       Take();
       CDES_ASSIGN_OR_RETURN(const Expr* inner, ParseExpr(w));
+      --depth_;
       CDES_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
       return inner;
     }
@@ -661,6 +692,9 @@ class Parser {
   std::vector<Token> tokens_;
   std::string_view filename_;
   size_t pos_ = 0;
+  /// Parentheses open around the cursor (not unwound on error paths: an
+  /// error abandons the parse).
+  int depth_ = 0;
   std::map<std::string, WorkflowTemplate> templates_;
 };
 

@@ -127,6 +127,24 @@ TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("x", ""));
 }
 
+TEST(StringsTest, ParseU64RejectsOverflowInsteadOfWrapping) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseU64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseU64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(ParseU64("000000000000000000000042", &v));
+  EXPECT_EQ(v, 42u);
+  // 2^64 and 2^64 + 1 used to wrap to 0 and 1.
+  for (const char* bad : {"18446744073709551616", "18446744073709551617",
+                          "99999999999999999999999", "", "-1", "+1", "1a",
+                          " 1", "1 "}) {
+    v = 7;
+    EXPECT_FALSE(ParseU64(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7u) << "'" << bad << "'";
+  }
+}
+
 TEST(RngTest, DeterministicUnderSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());

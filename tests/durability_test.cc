@@ -195,6 +195,40 @@ TEST(EventLogV3Test, TornHeaderRejected) {
   EXPECT_EQ(ok.value(), 418u);
 }
 
+TEST(EventLogV3Test, InstanceIdOverflowRejected) {
+  // Digits past UINT64_MAX used to wrap: "…617" named instance 1 and
+  // routed the log to another instance's shard.
+  Alphabet alphabet;
+  alphabet.Intern("e");
+  EventLog log;
+  log.Append({OccurrenceStamp{5, 0}, EventLiteral::Positive(0)});
+  log.set_instance(UINT64_MAX);
+  std::string max_text = log.Serialize(alphabet);
+  auto peeked = EventLog::PeekInstance(max_text);
+  ASSERT_TRUE(peeked.ok()) << peeked.status();
+  EXPECT_EQ(peeked.value(), UINT64_MAX);
+  auto sealed = EventLog::Deserialize(alphabet, max_text);
+  ASSERT_TRUE(sealed.ok()) << sealed.status();
+  EXPECT_EQ(sealed.value().instance(), UINT64_MAX);
+  ASSERT_TRUE(EventLog::LoadTolerant(alphabet, max_text).ok());
+
+  for (const char* id : {"18446744073709551616", "18446744073709551617"}) {
+    std::string header = StrCat("cdeslog v3 ", id, "\n");
+    EXPECT_FALSE(EventLog::PeekInstance(header).ok()) << id;
+    EXPECT_FALSE(EventLog::LoadTolerant(alphabet, header).ok()) << id;
+    // The same overflow in an otherwise intact sealed log is refused at
+    // the header, before the trailer checksum is consulted.
+    std::string text = max_text;
+    text.replace(text.find("18446744073709551615"), 20, id);
+    for (bool sealed_load : {true, false}) {
+      auto got = sealed_load ? EventLog::Deserialize(alphabet, text)
+                             : EventLog::LoadTolerant(alphabet, text);
+      ASSERT_FALSE(got.ok()) << id;
+      EXPECT_EQ(got.status().message(), "not a cdes event log") << id;
+    }
+  }
+}
+
 TEST(EventLogV3Test, TornTrailerDropsNothing) {
   // A trailer line torn mid-write ("checksum 1a") proves every record
   // line above it was already flushed: tolerant load keeps them all and
@@ -393,6 +427,71 @@ TEST(CheckpointPayloadTest, MalformedPayloadsRejected) {
                                             AlphabetFingerprint(a, a.size()),
                                             "\nhist"))
                    .ok());
+}
+
+TEST(CheckpointPayloadTest, NumericOverflowRejected) {
+  SexprWorld w;
+  GuardArena* g = w.ctx.guards();
+  const Alphabet& a = *w.ctx.alphabet();
+  const std::string tail = StrCat(" 10 ", a.size(), " ",
+                                  AlphabetFingerprint(a, a.size()), "\nhist");
+  auto max_seq = ParseCheckpoint(g, a, StrCat("meta 18446744073709551615",
+                                              tail));
+  ASSERT_TRUE(max_seq.ok()) << max_seq.status();
+  EXPECT_EQ(max_seq.value().next_seq, UINT64_MAX);
+  // 2^64 + 2 used to read as next_seq 2.
+  for (const char* seq : {"18446744073709551616", "18446744073709551618"}) {
+    auto got = ParseCheckpoint(g, a, StrCat("meta ", seq, tail));
+    ASSERT_FALSE(got.ok()) << seq;
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Transport channel site ids must fit the int the transport keys on.
+  const std::string meta = StrCat("meta 1", tail);
+  auto max_site =
+      ParseCheckpoint(g, a, StrCat(meta, "\nchan 2147483647 0 1 1"));
+  ASSERT_TRUE(max_site.ok()) << max_site.status();
+  EXPECT_EQ(max_site.value().channels[0].src, 2147483647);
+  for (const char* chan : {"chan 2147483648 0 1 1", "chan 0 4294967297 1 1",
+                           "chan 0 1 18446744073709551616 1"}) {
+    EXPECT_FALSE(ParseCheckpoint(g, a, StrCat(meta, "\n", chan)).ok())
+        << chan;
+  }
+}
+
+TEST(CheckpointPayloadTest, DeepNestingIsAnErrorNotACrash) {
+  // A crafted WAL file reaches ParseCheckpoint through RecoverDir (the
+  // section checksum is not a MAC), so nesting depth is attacker-chosen:
+  // 100,000 levels must come back as a Status naming the payload line.
+  SexprWorld w;
+  GuardArena* g = w.ctx.guards();
+  const Alphabet& a = *w.ctx.alphabet();
+  const std::string meta = StrCat("meta 1 10 ", a.size(), " ",
+                                  AlphabetFingerprint(a, a.size()), "\nhist");
+  auto nested = [](const std::string& open, size_t depth,
+                   const std::string& core) {
+    std::string out;
+    for (size_t i = 0; i < depth; ++i) out += open;
+    return out + core + std::string(depth, ')');
+  };
+  for (const std::string& guard :
+       {nested("(and ", 100000, "^GT"),
+        StrCat("(dia ", nested("(or ", 100000, "s_buy"), ")")}) {
+    std::string payload = StrCat(meta, "\nactor 0\npos ^GT\nneg ", guard);
+    auto got = ParseCheckpoint(g, a, payload);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(got.status().message().find(StrCat(
+                  "checkpoint payload line 5: s-expression nested deeper "
+                  "than ",
+                  kMaxNestingDepth)),
+              std::string::npos)
+        << got.status();
+  }
+  // Nesting within the limit still parses (and collapses: single-child
+  // conjunctions are the child).
+  auto fine = GuardFromSexpr(g, a, nested("(and ", 200, "(box s_buy)"));
+  ASSERT_TRUE(fine.ok()) << fine.status();
+  EXPECT_EQ(fine.value(), g->Box(w.Lit("s_buy")));
 }
 
 // ------------------------------------------------- transport watermarks

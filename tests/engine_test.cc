@@ -21,6 +21,8 @@
 #include "engine/engine.h"
 #include "guards/workflow.h"
 #include "obs/json.h"
+#include "sched/guard_scheduler.h"
+#include "sim/network.h"
 #include "spec/parser.h"
 
 namespace cdes::engine {
@@ -114,9 +116,9 @@ TEST(EngineTest, ManyInstancesAllConsistent) {
   EXPECT_EQ(snap.shard_instances[1], kInstances / 2);
 }
 
-// The headline determinism guarantee: same seed + same submission order
-// produce identical per-instance histories no matter how many shards the
-// engine runs (placement and thread interleaving must not leak into any
+// The headline determinism guarantee: the same submission order produces
+// identical per-instance histories no matter how many shards the engine
+// runs (placement and thread interleaving must not leak into any
 // instance's world).
 TEST(EngineTest, DeterministicAcrossShardCounts) {
   constexpr size_t kInstances = 48;
@@ -124,8 +126,6 @@ TEST(EngineTest, DeterministicAcrossShardCounts) {
   for (size_t shards : {1u, 2u, 4u}) {
     EngineOptions opts;
     opts.shards = shards;
-    opts.seed = 12345;
-    opts.jitter = 500;  // make the seeded RNG actually shape each world
     Engine eng(TravelSpec(), opts);
     for (size_t i = 0; i < kInstances; ++i) {
       ASSERT_TRUE(eng.Submit(ScriptFor(i)).ok());
@@ -144,8 +144,6 @@ TEST(EngineTest, DeterministicAcrossShardCounts) {
   }
 }
 
-// A different seed must actually change something (otherwise the previous
-// test would pass vacuously on constant output).
 /// A random workflow over `symbols` events: one agent per event, each on
 /// its own site, and two random dependencies.
 std::string RandomSpecText(uint64_t seed, size_t symbols) {
@@ -175,12 +173,28 @@ std::string RandomSpecText(uint64_t seed, size_t symbols) {
   return text + "}\n";
 }
 
+/// A random script over `symbols` events: each event is attempted with
+/// probability 2/3, complemented with probability 1/4, in random order.
+InstanceScript RandomScript(Rng* rng, size_t symbols) {
+  InstanceScript script;
+  for (size_t i = 0; i < symbols; ++i) {
+    if (rng->Next() % 3 == 0) continue;
+    script.attempts.push_back(StrCat(rng->Next() % 4 == 0 ? "~" : "", "e", i));
+  }
+  for (size_t i = script.attempts.size(); i > 1; --i) {
+    std::swap(script.attempts[i - 1], script.attempts[rng->Next() % i]);
+  }
+  return script;
+}
+
 // The premise behind shard-shared caches: what earlier instances left in
 // a shard's caches never changes a later instance's history. Random specs
 // run the same scripts at 1, 2 and 3 shards, so each instance shares its
 // shard with different predecessors; every instance must still end with
-// the same history and the same consistent/maximal flags. Agents sit on
-// distinct sites with jitter, so announcements arrive out of stamp order.
+// the same history and the same consistent/maximal flags. Instance worlds
+// deliver messages in send order; announcements arriving out of stamp
+// order stay covered at scheduler level by
+// SymbolicCacheTest.HeardResidualMatchesReferenceFold.
 TEST(EngineTest, RandomSpecsDeterministicAcrossShardCounts) {
   constexpr size_t kSymbols = 4;
   constexpr size_t kSpecs = 15;
@@ -197,23 +211,14 @@ TEST(EngineTest, RandomSpecsDeterministicAcrossShardCounts) {
     auto spec = EngineSpec::FromText(text);
     ASSERT_TRUE(spec.ok()) << spec.status();
     Rng rng(seed);
-    std::vector<InstanceScript> scripts(kInstances);
-    for (InstanceScript& script : scripts) {
-      for (size_t i = 0; i < kSymbols; ++i) {
-        if (rng.Next() % 3 == 0) continue;
-        script.attempts.push_back(
-            StrCat(rng.Next() % 4 == 0 ? "~" : "", "e", i));
-      }
-      for (size_t i = script.attempts.size(); i > 1; --i) {
-        std::swap(script.attempts[i - 1], script.attempts[rng.Next() % i]);
-      }
+    std::vector<InstanceScript> scripts;
+    for (size_t i = 0; i < kInstances; ++i) {
+      scripts.push_back(RandomScript(&rng, kSymbols));
     }
     std::map<uint64_t, std::string> reference;
     for (size_t shards : {1u, 2u, 3u}) {
       EngineOptions opts;
       opts.shards = shards;
-      opts.seed = seed;
-      opts.jitter = 500;
       Engine eng(spec.value(), opts);
       for (const InstanceScript& script : scripts) {
         ASSERT_TRUE(eng.Submit(script).ok());
@@ -240,22 +245,79 @@ TEST(EngineTest, RandomSpecsDeterministicAcrossShardCounts) {
   EXPECT_EQ(specs, kSpecs);
 }
 
-TEST(EngineTest, SeedReachesInstanceWorlds) {
-  auto run = [](uint64_t seed) {
-    EngineOptions opts;
-    opts.shards = 1;
-    opts.seed = seed;
-    opts.jitter = 500;
-    Engine eng(TravelSpec(), opts);
-    for (size_t i = 0; i < 16; ++i) (void)eng.Submit(ScriptFor(i));
-    eng.Drain();
-    uint64_t total_time = 0;
-    for (const InstanceResult& r : eng.TakeResults()) total_time += r.sim_time;
-    return total_time;
-  };
-  // Latency jitter is drawn from the seeded per-instance RNG, so the
-  // aggregate simulated time differs across seeds.
-  EXPECT_NE(run(1), run(999));
+/// Drives `script` the way a shard drives an instance — each attempt run
+/// to quiescence, then up to 16 closure rounds — on a co-located scheduler,
+/// or on one over Network{base 1000, local 1, jitter 0} when `networked`.
+/// Returns the history, the maximal/consistent flags and the run-queue
+/// steps taken.
+std::string RunWorld(WorkflowContext* ctx, const CompiledWorkflowRef& compiled,
+                     const ParsedWorkflow& workflow,
+                     const InstanceScript& script, size_t sites,
+                     bool networked) {
+  Simulator sim;
+  std::unique_ptr<Network> net;
+  std::unique_ptr<GuardScheduler> sched;
+  if (networked) {
+    NetworkOptions nopts;
+    nopts.base_latency = 1000;
+    nopts.local_latency = 1;
+    nopts.jitter = 0;
+    net = std::make_unique<Network>(&sim, sites, nopts);
+    sched = std::make_unique<GuardScheduler>(ctx, compiled, workflow,
+                                             net.get());
+  } else {
+    sched = std::make_unique<GuardScheduler>(ctx, compiled, workflow, &sim);
+  }
+  for (const std::string& name : script.attempts) {
+    auto literal = ctx->alphabet()->ParseLiteral(name);
+    CDES_CHECK(literal.ok()) << literal.status();
+    sched->Attempt(literal.value(), {});
+    sim.Run();
+  }
+  for (size_t round = 0; round < 16 && !sched->Undecided().empty();
+       ++round) {
+    sched->Close();
+    sim.Run();
+  }
+  bool maximal = sched->Undecided().empty();
+  return StrCat(TraceToString(sched->history(), *ctx->alphabet()),
+                maximal ? " | maximal" : "",
+                sched->HistoryConsistent(maximal) ? " | consistent" : "",
+                " | ", sim.executed(), " steps");
+}
+
+// The premise of the engine's instance worlds: with every attempt run to
+// quiescence, a co-located GuardScheduler (zero-delay FIFO run queue, no
+// network) produces the same history, maximality and consistency as one
+// over a zero-jitter Network, and takes the same number of run-queue
+// steps. Random specs put every agent on its own site: where some agents
+// share a site, the network's 1-tick local links reorder deliveries
+// against send order (docs/ENGINE.md, "Determinism").
+TEST(CoLocatedSchedulerTest, MatchesZeroJitterNetwork) {
+  constexpr size_t kSymbols = 4;
+  constexpr size_t kSpecs = 150;
+  constexpr size_t kScripts = 20;
+  size_t specs = 0;
+  for (uint64_t seed = 1; specs < kSpecs && seed <= 2000; ++seed) {
+    std::string text = RandomSpecText(seed * 104729 + 7, kSymbols);
+    WorkflowContext ctx;
+    auto parsed = ParseWorkflow(&ctx, text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+    CompiledWorkflowRef compiled =
+        CompileWorkflowShared(&ctx, parsed.value().spec);
+    if (compiled->impossible()) continue;
+    Rng rng(seed);
+    for (size_t k = 0; k < kScripts; ++k) {
+      InstanceScript script = RandomScript(&rng, kSymbols);
+      EXPECT_EQ(RunWorld(&ctx, compiled, parsed.value(), script, kSymbols,
+                         /*networked=*/false),
+                RunWorld(&ctx, compiled, parsed.value(), script, kSymbols,
+                         /*networked=*/true))
+          << "script " << StrJoin(script.attempts, " ") << "\n" << text;
+    }
+    ++specs;
+  }
+  EXPECT_EQ(specs, kSpecs);
 }
 
 TEST(EngineTest, BackpressureRejectsWhenFull) {

@@ -309,6 +309,44 @@ workflow nd {
   EXPECT_TRUE(w.sched->history().empty());
 }
 
+TEST(GuardSchedulerTest, PromiseAnswerThatTriggersItsOwnEvent) {
+  // A held promise request answered through the trigger-backed path can
+  // make the answering actor occur (ReviewObligations triggers it), and
+  // the occurrence empties the request queue the answer came from.
+  // Reevaluate used to erase from that emptied queue: heap-buffer-overflow
+  // under ASan, heap corruption in Release. Found by random specs with
+  // triggerable events; both worlds reached it on this script.
+  constexpr char kSpec[] = R"(
+workflow w {
+  event e0 attrs(triggerable);
+  event e1;
+  event e2 attrs(triggerable);
+  event e3;
+  dep d0: ~e3 | e2 + e0 + ~e1;
+}
+)";
+  World w(kSpec);
+  Simulator colocated_sim;
+  GuardScheduler colocated(&w.ctx,
+                           CompileWorkflowShared(&w.ctx, w.workflow.spec),
+                           w.workflow, &colocated_sim);
+  for (auto [sched, sim] : {std::pair{w.sched.get(), &w.sim},
+                            std::pair{&colocated, &colocated_sim}}) {
+    for (const char* name : {"e1", "e3", "~e2"}) {
+      sched->Attempt(w.Lit(name), {});
+      sim->Run();
+    }
+    for (int round = 0; round < 16 && !sched->Undecided().empty(); ++round) {
+      sched->Close();
+      sim->Run();
+    }
+    EXPECT_TRUE(sched->Undecided().empty());
+    EXPECT_TRUE(sched->HistoryConsistent(true));
+    EXPECT_EQ(TraceToString(sched->history(), *w.ctx.alphabet()),
+              "<e0 e1 e2 e3>");
+  }
+}
+
 // ------------------------------------------- Centralized baselines
 
 template <typename SchedulerT>

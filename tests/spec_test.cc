@@ -4,6 +4,7 @@
 
 #include "algebra/generator.h"
 #include "algebra/semantics.h"
+#include "common/strings.h"
 #include "spec/parser.h"
 #include "temporal/guard_semantics.h"
 
@@ -186,6 +187,64 @@ TEST_F(SpecTest, ErrorBadCharacter) {
 TEST_F(SpecTest, ErrorTruncatedInput) {
   auto r = ParseWorkflow(&ctx_, "workflow w { event a; dep d: a");
   ASSERT_FALSE(r.ok());
+}
+
+/// A workflow (or, with `in_template`, a template instantiated by one)
+/// whose dependency wraps one event in `depth` pairs of parentheses.
+std::string NestedSpec(size_t depth, bool in_template) {
+  std::string expr = std::string(depth, '(') + (in_template ? "e[a]" : "e") +
+                     std::string(depth, ')');
+  if (in_template) {
+    return "template t(a) {\n  event e[a];\n  dep d: " + expr +
+           ";\n}\nworkflow w { use t(1); }\n";
+  }
+  return "workflow w {\n  event e;\n  dep d: " + expr + ";\n}\n";
+}
+
+TEST_F(SpecTest, DeepNestingIsAnErrorNotACrash) {
+  // Untrusted spec text: recursive descent would exhaust the stack long
+  // before 100,000 levels; the parser refuses past kMaxNestingDepth with
+  // the location of the offending '('.
+  for (bool in_template : {false, true}) {
+    auto deep = ParseWorkflow(&ctx_, NestedSpec(100000, in_template),
+                              "deep.wf");
+    ASSERT_FALSE(deep.ok()) << "template " << in_template;
+    EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(deep.status().message().find(StrCat(
+                  "deep.wf:3:", 10 + kMaxNestingDepth, ": parentheses nested "
+                  "deeper than ", kMaxNestingDepth)),
+              std::string::npos)
+        << deep.status();
+    WorkflowContext ctx;
+    auto fine = ParseWorkflow(&ctx, NestedSpec(200, in_template));
+    ASSERT_TRUE(fine.ok()) << fine.status();
+    EXPECT_EQ(ExprToString(fine.value().spec.dependencies()[0].expr,
+                           *ctx.alphabet()),
+              in_template ? "e[1]" : "e");
+  }
+}
+
+TEST_F(SpecTest, OutOfRangeIntegersAreErrorsNotCrashes) {
+  // Integer literals too large for their field used to throw out of the
+  // parser (std::stoi / std::stoll) and terminate the process.
+  for (const char* text : {
+           "workflow w { agent a @ site(2147483648); }",
+           "template t(a) { agent x @ site(99999999999); event e[a]; "
+           "dep d: e[a]; }",
+           "template t(a) { event e[a]; dep d: e[9223372036854775808]; }",
+           "template t(a) { event e[a]; dep d: e[a]; }\n"
+           "workflow w { use t(18446744073709551616); }",
+       }) {
+    auto r = ParseWorkflow(&ctx_, text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("out of range"), std::string::npos)
+        << r.status();
+  }
+  auto max_site = ParseWorkflow(
+      &ctx_, "workflow w { agent a @ site(2147483647); event e agent(a); }");
+  ASSERT_TRUE(max_site.ok()) << max_site.status();
+  EXPECT_EQ(max_site.value().agents[0].site, 2147483647);
 }
 
 constexpr char kTemplateSpec[] = R"(
