@@ -150,9 +150,11 @@ void BM_EndToEndAttemptNoSimplify(benchmark::State& state) {
     Simulator sim;
     NetworkOptions nopts;
     Network net(&sim, 2, nopts);
-    GuardSchedulerOptions options;
-    options.simplify_guards = false;
-    GuardScheduler sched(&ctx, parsed.value(), &net, options);
+    GuardScheduler sched(
+        &ctx,
+        CompileWorkflowShared(&ctx, parsed.value().spec,
+                              CompileOptions{.simplify = false}),
+        parsed.value(), &net);
     state.ResumeTiming();
     for (const char* name : {"s_buy", "c_book", "c_buy"}) {
       sched.Attempt(ctx.alphabet()->ParseLiteral(name).value(), {});

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -164,18 +165,8 @@ Engine::Engine(EngineSpecRef spec, const EngineOptions& options)
       options_.shards, options_.max_in_flight, options_.tracer);
   shards_.reserve(options_.shards);
   for (size_t k = 0; k < options_.shards; ++k) {
-    ShardOptions sopts;
-    sopts.index = k;
-    sopts.max_resident = options_.max_resident_per_shard;
-    sopts.durable_logs = options_.durable_logs;
-    sopts.wal_dir = options_.wal_dir;
-    sopts.checkpoint_every = options_.checkpoint_every;
-    sopts.group_commit_records = options_.group_commit_records;
-    sopts.start_paused = options_.start_paused;
-    sopts.epoch = epoch_;
-    sopts.profiler = options_.profiler;
-    sopts.lifecycle_metrics = options_.lifecycle_metrics;
-    shards_.push_back(std::make_unique<Shard>(spec_, sopts, manager_.get()));
+    shards_.push_back(
+        std::make_unique<Shard>(spec_, options_, k, epoch_, manager_.get()));
   }
   for (auto& shard : shards_) shard->Start();
 }
@@ -379,7 +370,17 @@ EngineMetricsSnapshot Engine::Metrics() const {
 void Engine::MergeMetricsInto(obs::MetricsRegistry* out) const {
   manager_->MergeMetricsInto(out);
   if (!stopped_) return;  // shard registries are worker-confined until then
-  for (const auto& shard : shards_) out->MergeFrom(shard->metrics());
+  // A shard's gauges are its own tallies (the residuator's cache hits and
+  // misses), so the engine-wide value is their sum; MergeFrom alone would
+  // keep the last shard's.
+  std::map<std::string, double> gauge_sums;
+  for (const auto& shard : shards_) {
+    out->MergeFrom(shard->metrics());
+    for (const auto& [name, gauge] : shard->metrics().gauges()) {
+      gauge_sums[name] += gauge->value();
+    }
+  }
+  for (const auto& [name, sum] : gauge_sums) out->gauge(name)->Set(sum);
 }
 
 std::vector<InstanceResult> Engine::TakeResults() {

@@ -215,8 +215,10 @@ class Engine {
   /// Folds every engine-owned registry into `out`: the manager's latency
   /// histograms always (safe mid-run), and the per-shard registries
   /// ("sched.*", "engine.wal.*") once the engine is stopped (they are
-  /// worker-thread-confined while shards run). Feed the result to
-  /// obs::PrometheusText for a scrape snapshot.
+  /// worker-thread-confined while shards run). Counters and histograms add
+  /// up across shards, and so do the shards' gauges (the
+  /// "algebra.residuation_cache_*" tallies), which stay gauges. Feed the
+  /// result to obs::PrometheusText for a scrape snapshot.
   void MergeMetricsInto(obs::MetricsRegistry* out) const;
 
   /// A line-oriented telemetry consumer; called from the telemetry thread

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "engine/engine.h"
 #include "runtime/checkpoint.h"
 #include "runtime/event_log.h"
 
@@ -13,11 +14,20 @@ namespace {
 /// yielding to the next resident instance.
 constexpr size_t kStepBatch = 64;
 
+/// Closure waves before giving up on maximality (closure can need several
+/// waves when complements park against in-flight announcements).
+constexpr size_t kMaxCloseRounds = 16;
+
 }  // namespace
 
-Shard::Shard(EngineSpecRef spec, const ShardOptions& options,
+Shard::Shard(EngineSpecRef spec, const EngineOptions& options, size_t index,
+             std::chrono::steady_clock::time_point epoch,
              InstanceManager* manager)
-    : spec_(std::move(spec)), options_(options), manager_(manager) {
+    : spec_(std::move(spec)),
+      options_(options),
+      index_(index),
+      epoch_(epoch),
+      manager_(manager) {
   paused_ = options_.start_paused;
 }
 
@@ -57,7 +67,7 @@ void Shard::Abort() {
 uint64_t Shard::NowUs() const {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - options_.epoch)
+          std::chrono::steady_clock::now() - epoch_)
           .count());
 }
 
@@ -71,10 +81,8 @@ void Shard::ThreadMain() {
   workflow_ = std::move(parsed).value();
   compiled_ = CompileWorkflowShared(ctx_.get(), workflow_.spec);
   if (!options_.wal_dir.empty()) {
-    WalOptions wopts;
-    wopts.dir = options_.wal_dir;
-    wopts.group_commit_records = options_.group_commit_records;
-    wal_ = std::make_unique<ShardWal>(wopts);
+    wal_ = std::make_unique<ShardWal>(options_.wal_dir,
+                                      options_.group_commit_records);
   }
 
   std::vector<std::unique_ptr<Resident>> active;
@@ -96,7 +104,7 @@ void Shard::ThreadMain() {
         if (abort_.load(std::memory_order_relaxed)) return;
       }
       while (!paused_ && !queue_.empty() &&
-             active.size() < options_.max_resident) {
+             active.size() < options_.max_resident_per_shard) {
         EngineCommand cmd = std::move(queue_.front());
         queue_.pop_front();
         queue_depth_.store(queue_.size(), std::memory_order_relaxed);
@@ -157,7 +165,7 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
   r->script = std::move(cmd.script);
   r->result.id = cmd.id;
   r->result.tag = r->script.tag;
-  r->result.shard = options_.index;
+  r->result.shard = index_;
 
   GuardSchedulerOptions sopts;
   sopts.metrics = &metrics_;
@@ -255,7 +263,7 @@ bool Shard::StepInstance(Resident& r) {
     }
     case Resident::Phase::kClosing: {
       if (r.sched->Undecided().empty() ||
-          ++r.close_rounds > options_.max_close_rounds) {
+          ++r.close_rounds > kMaxCloseRounds) {
         r.phase = Resident::Phase::kDone;
         return true;
       }

@@ -21,61 +21,35 @@
 
 namespace cdes::engine {
 
-/// Per-shard knobs, derived by the Engine from its EngineOptions.
-struct ShardOptions {
-  size_t index = 0;
-  /// Cap on instances interleaved on the shard at once; commands beyond it
-  /// wait in the mailbox.
-  size_t max_resident = 64;
-  /// Keep a per-instance EventLog and ship its serialized form in the
-  /// result (enables Engine::Recover).
-  bool durable_logs = false;
-  /// When non-empty, mirror every resident instance's log to
-  /// `<wal_dir>/<id>.log` as it runs (implies durable_logs): the on-disk
-  /// WAL a crashed engine recovers from via Engine::RecoverDir.
-  std::string wal_dir;
-  /// Checkpoint + compact an instance's WAL once its record suffix reaches
-  /// this many records (at the instance's next quiescent turn). 0 = only
-  /// on explicit Engine::Checkpoint().
-  size_t checkpoint_every = 0;
-  /// Group commit: WAL appends buffer across residents and reach the
-  /// filesystem once this many lines accumulated (or at a barrier:
-  /// checkpoint, completion, idle, stop). 1 = write-through.
-  size_t group_commit_records = 1;
-  /// Start with the mailbox paused: commands queue but nothing runs until
-  /// Resume() (deterministic backpressure tests, bench preloading).
-  bool start_paused = false;
-  /// Closure waves before giving up on maximality (closure can need
-  /// several waves when complements park against in-flight announcements).
-  size_t max_close_rounds = 16;
-  /// Wall-clock epoch for instance-span timestamps.
-  std::chrono::steady_clock::time_point epoch{};
-  /// Shared guard profiler every resident scheduler attributes to
-  /// (thread-safe; one profiler serves all shards). Null = off.
-  obs::GuardProfiler* profiler = nullptr;
-  /// Enable the per-instance sched.* lifecycle histograms.
-  bool lifecycle_metrics = false;
-};
+struct EngineOptions;
 
 /// One worker: a thread owning an MPSC mailbox of EngineCommands and a set
 /// of resident workflow instances it steps cooperatively (round-robin, a
 /// bounded batch of run-queue steps per instance per turn — so thousands
-/// of submitted instances make progress with at most `max_resident` worlds
-/// live at once). An instance world is a Simulator (FIFO run queue and
-/// stamp clock), an optional EventLog and a co-located GuardScheduler.
+/// of submitted instances make progress with at most
+/// EngineOptions::max_resident_per_shard worlds live at once). An instance
+/// world is a Simulator (FIFO run queue and stamp clock), an optional
+/// EventLog and a co-located GuardScheduler that owns only the instance's
+/// actors, history and stamp sequence.
 ///
 /// Thread-confinement is the shard's whole concurrency story: the
 /// WorkflowContext (arenas, alphabet), the compiled guard table, every
 /// resident Simulator/GuardScheduler, and the shard's MetricsRegistry are
-/// touched exclusively by the worker thread. The
-/// compiled table is materialized once on that thread and shared by all
-/// resident instances via CompiledWorkflowRef — the hash-consed arenas
-/// double as a cross-instance memo: reductions computed for one instance
-/// are cache hits for every later instance in the same state. Cross-thread
-/// traffic is the mailbox (mutex + condvar) and a few atomic counters.
+/// touched exclusively by the worker thread. The compiled table is
+/// materialized once on that thread and shared by all resident instances
+/// via CompiledWorkflowRef: it carries the guards, the dependencies and the
+/// subscriber wiring, so admitting an instance only builds its actors. The
+/// hash-consed arenas double as a cross-instance memo: reductions computed
+/// for one instance are cache hits for every later instance in the same
+/// state. Cross-thread traffic is the mailbox (mutex + condvar) and a few
+/// atomic counters.
 class Shard {
  public:
-  Shard(EngineSpecRef spec, const ShardOptions& options,
+  /// Shard `index` of an engine running `spec` under `options`; `options`
+  /// and `manager` belong to the engine, which outlives its shards.
+  /// Instance spans are timed from `epoch`.
+  Shard(EngineSpecRef spec, const EngineOptions& options, size_t index,
+        std::chrono::steady_clock::time_point epoch,
         InstanceManager* manager);
   ~Shard();
 
@@ -156,7 +130,9 @@ class Shard {
   uint64_t NowUs() const;
 
   const EngineSpecRef spec_;
-  const ShardOptions options_;
+  const EngineOptions& options_;
+  const size_t index_;
+  const std::chrono::steady_clock::time_point epoch_;
   InstanceManager* const manager_;
 
   // ---- Worker-thread-confined state ----

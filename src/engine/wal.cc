@@ -26,13 +26,14 @@ Status WriteWhole(const std::string& path, const std::string& content) {
 
 }  // namespace
 
-ShardWal::ShardWal(const WalOptions& options) : options_(options) {
-  CDES_CHECK(!options_.dir.empty()) << "ShardWal needs a directory";
-  CDES_CHECK(options_.group_commit_records > 0);
+ShardWal::ShardWal(std::string dir, size_t group_commit_records)
+    : dir_(std::move(dir)), group_commit_records_(group_commit_records) {
+  CDES_CHECK(!dir_.empty()) << "ShardWal needs a directory";
+  CDES_CHECK(group_commit_records_ > 0);
 }
 
 std::string ShardWal::PathFor(uint64_t id) const {
-  return StrCat(options_.dir, "/", id, ".log");
+  return StrCat(dir_, "/", id, ".log");
 }
 
 Status ShardWal::Create(uint64_t id, const std::string& content) {

@@ -10,16 +10,6 @@
 
 namespace cdes::engine {
 
-struct WalOptions {
-  /// Directory holding one `<instance-id>.log` file per in-flight instance.
-  std::string dir;
-  /// Group commit: buffered appends (across all resident instances of the
-  /// shard) are written out once this many have accumulated, or at a
-  /// barrier (checkpoint, instance completion, shard idle/stop) — whichever
-  /// comes first. 1 = write through on every append.
-  size_t group_commit_records = 1;
-};
-
 /// The durable face of one shard: per-instance write-ahead log files with
 /// group commit. Appends buffer in memory across all resident instances
 /// and reach the filesystem in batches, so durability is no longer one
@@ -41,7 +31,12 @@ struct WalOptions {
 /// serves all residents of its shard.
 class ShardWal {
  public:
-  explicit ShardWal(const WalOptions& options);
+  /// `dir` holds one `<instance-id>.log` file per in-flight instance.
+  /// Group commit: buffered appends (across all resident instances of the
+  /// shard) are written out once `group_commit_records` have accumulated,
+  /// or at a barrier (checkpoint, instance completion, shard idle/stop) —
+  /// whichever comes first. 1 = write through on every append.
+  ShardWal(std::string dir, size_t group_commit_records);
 
   ShardWal(const ShardWal&) = delete;
   ShardWal& operator=(const ShardWal&) = delete;
@@ -56,7 +51,9 @@ class ShardWal {
   void Append(uint64_t id, const std::string& text);
 
   /// Whether the group-commit policy calls for a flush now.
-  bool ShouldFlush() const { return pending_appends_ >= options_.group_commit_records; }
+  bool ShouldFlush() const {
+    return pending_appends_ >= group_commit_records_;
+  }
 
   /// Writes one instance's buffered appends to its file.
   Status Flush(uint64_t id);
@@ -75,7 +72,8 @@ class ShardWal {
   size_t pending_appends() const { return pending_appends_; }
 
  private:
-  const WalOptions options_;
+  const std::string dir_;
+  const size_t group_commit_records_;
   /// instance id → concatenated buffered append text.
   std::map<uint64_t, std::string> buffers_;
   size_t pending_appends_ = 0;

@@ -28,6 +28,12 @@ CompiledWorkflow::ContributionsFor(EventLiteral literal) const {
   return it == contributions_.end() ? no_contributions_ : it->second;
 }
 
+const std::vector<SymbolId>& CompiledWorkflow::SubscribersOf(
+    SymbolId symbol) const {
+  auto it = subscribers_.find(symbol);
+  return it == subscribers_.end() ? no_subscribers_ : it->second;
+}
+
 bool CompiledWorkflow::Generates(const Trace& u) const {
   if (impossible_) return false;
   for (size_t j = 0; j < u.size(); ++j) {
@@ -95,6 +101,18 @@ CompiledWorkflow CompileWorkflow(WorkflowContext* ctx,
         conj.push_back(g);
       }
       out.guards_[l] = ctx->guards()->And(conj);
+    }
+  }
+  // Static subscriptions: t hears about every other symbol its two guards
+  // mention. Visiting t in ascending order keeps every list ascending.
+  for (SymbolId t : out.symbols_) {
+    std::set<SymbolId> mentioned =
+        GuardSymbols(out.GuardFor(EventLiteral::Positive(t)));
+    std::set<SymbolId> negative =
+        GuardSymbols(out.GuardFor(EventLiteral::Complement(t)));
+    mentioned.insert(negative.begin(), negative.end());
+    for (SymbolId s : mentioned) {
+      if (s != t) out.subscribers_[s].push_back(t);
     }
   }
   return out;

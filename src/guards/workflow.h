@@ -66,7 +66,10 @@ struct CompileOptions {
 /// every mentioned symbol, the conjunction of the guards contributed by the
 /// dependencies that mention its symbol (§4.2: "The guard on an event e due
 /// to a workflow W is the conjunction of the guards due to the dependencies
-/// in W that mention e").
+/// in W that mention e"), and the static subscription relation of §4.3
+/// that follows from those guards. Both are fixed once compiled, so every
+/// runtime instance of the workflow shares one table and keeps only its own
+/// actors' state (see GuardScheduler).
 class CompiledWorkflow {
  public:
   /// The conjoined guard localized on `literal`; ⊤ for literals no
@@ -76,6 +79,12 @@ class CompiledWorkflow {
   /// Per-dependency contributions to `literal` (dependency index, guard).
   const std::vector<std::pair<size_t, const Guard*>>& ContributionsFor(
       EventLiteral literal) const;
+
+  /// The other symbols whose compiled guards (of either polarity) mention
+  /// `symbol`, ascending: the actors an occurrence of `symbol` is announced
+  /// to (§4.3). Reduction only shrinks the mentioned set, so the relation
+  /// is static. Empty for symbols no other guard mentions.
+  const std::vector<SymbolId>& SubscribersOf(SymbolId symbol) const;
 
   const std::vector<Dependency>& dependencies() const { return dependencies_; }
   const std::set<SymbolId>& symbols() const { return symbols_; }
@@ -104,6 +113,8 @@ class CompiledWorkflow {
   std::map<EventLiteral, std::vector<std::pair<size_t, const Guard*>>>
       contributions_;
   std::vector<std::pair<size_t, const Guard*>> no_contributions_;
+  std::map<SymbolId, std::vector<SymbolId>> subscribers_;
+  std::vector<SymbolId> no_subscribers_;
 };
 
 /// Synthesizes and conjoins guards for every literal of every symbol the

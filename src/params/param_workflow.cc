@@ -84,17 +84,6 @@ Result<ParsedWorkflow> WorkflowTemplate::Instantiate(
   return out;
 }
 
-Binding WorkflowTemplate::CanonicalBinding() const {
-  Binding binding;
-  for (const std::string& p : params_) binding[p] = 0;
-  return binding;
-}
-
-Result<ParsedWorkflow> WorkflowTemplate::InstantiateCanonical(
-    WorkflowContext* ctx) const {
-  return Instantiate(ctx, CanonicalBinding());
-}
-
 WorkflowTemplate TravelTemplate() {
   WorkflowTemplate t("travel", {"cid"});
   t.AddAgent("air", 0);

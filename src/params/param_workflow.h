@@ -47,17 +47,6 @@ class WorkflowTemplate {
   Result<ParsedWorkflow> Instantiate(WorkflowContext* ctx,
                                      const Binding& binding) const;
 
-  /// Instantiates under the canonical binding (every parameter bound to 0).
-  /// The multi-instance engine uses this to materialize one *prototype*
-  /// instance per shard: engine instances are isolated per scheduler, so
-  /// identity lives in the engine's instance id rather than in mangled
-  /// event names, and every instance reuses the prototype's compiled
-  /// guards.
-  Result<ParsedWorkflow> InstantiateCanonical(WorkflowContext* ctx) const;
-
-  /// The canonical binding: every parameter bound to 0.
-  Binding CanonicalBinding() const;
-
   const std::string& name() const { return name_; }
   const std::vector<std::string>& params() const { return params_; }
 

@@ -156,6 +156,8 @@ class EventActor {
   std::vector<EventLiteral> ParkedLiterals() const;
   SymbolId symbol() const { return symbol_; }
   int site() const { return site_; }
+  /// Whether the runtime may trigger the positive literal itself (§2).
+  bool triggerable() const { return positive_attrs_.triggerable; }
 
  private:
   struct Parked {

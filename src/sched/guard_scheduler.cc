@@ -4,6 +4,12 @@
 #include "common/strings.h"
 
 namespace cdes {
+namespace {
+
+/// Estimated bytes per protocol message, for network accounting.
+constexpr size_t kMessageBytes = 48;
+
+}  // namespace
 
 std::string DecisionToString(Decision d) {
   switch (d) {
@@ -21,12 +27,8 @@ GuardScheduler::GuardScheduler(WorkflowContext* ctx,
                                const ParsedWorkflow& workflow,
                                Network* network,
                                const GuardSchedulerOptions& options)
-    : ctx_(ctx), sim_(network->sim()),
-      transport_(std::make_unique<ReliableTransport>(network,
-                                                     options.reliability)),
-      options_(options) {
-  Init(workflow, nullptr);
-}
+    : GuardScheduler(ctx, CompileWorkflowShared(ctx, workflow.spec),
+                     workflow, network, options) {}
 
 GuardScheduler::GuardScheduler(WorkflowContext* ctx,
                                CompiledWorkflowRef compiled,
@@ -34,8 +36,7 @@ GuardScheduler::GuardScheduler(WorkflowContext* ctx,
                                Network* network,
                                const GuardSchedulerOptions& options)
     : ctx_(ctx), sim_(network->sim()),
-      transport_(std::make_unique<ReliableTransport>(network,
-                                                     options.reliability)),
+      transport_(std::make_unique<ReliableTransport>(network)),
       options_(options) {
   CDES_CHECK(compiled != nullptr);
   Init(workflow, std::move(compiled));
@@ -87,9 +88,7 @@ void GuardScheduler::Init(const ParsedWorkflow& workflow,
     // sharing a context and registry this re-binds the same counters.
     ctx_->reduction_cache()->AttachMetrics(metrics_);
   }
-  Status installed = compiled != nullptr
-                         ? AddInstanceCompiled(std::move(compiled), workflow)
-                         : AddInstance(workflow);
+  Status installed = AddInstanceCompiled(std::move(compiled), workflow);
   CDES_CHECK(installed.ok()) << installed;
 }
 
@@ -103,34 +102,25 @@ GuardSchedulerStats GuardScheduler::stats() const {
 }
 
 Status GuardScheduler::AddInstance(const ParsedWorkflow& workflow) {
-  CompileOptions copts;
-  copts.simplify = options_.simplify_guards;
-  CompiledWorkflow compiled = CompileWorkflow(ctx_, workflow.spec, copts);
-  return Install(compiled, workflow);
+  return AddInstanceCompiled(CompileWorkflowShared(ctx_, workflow.spec),
+                             workflow);
 }
 
 Status GuardScheduler::AddInstanceCompiled(CompiledWorkflowRef compiled,
                                            const ParsedWorkflow& workflow) {
-  CDES_RETURN_IF_ERROR(Install(*compiled, workflow));
-  shared_compiles_.push_back(std::move(compiled));
-  return Status::OK();
-}
-
-Status GuardScheduler::Install(const CompiledWorkflow& compiled,
-                               const ParsedWorkflow& workflow) {
-  for (SymbolId symbol : compiled.symbols()) {
-    if (actors_.count(symbol)) {
+  const std::set<SymbolId>& symbols = compiled->symbols();
+  for (SymbolId symbol : symbols) {
+    if (FindActor(symbol) != nullptr) {
       return Status::AlreadyExists(StrCat(
           "instance shares event symbol '", ctx_->alphabet()->Name(symbol),
           "' with an installed instance; instances must be symbol-disjoint"));
     }
   }
-  impossible_ |= compiled.impossible();
-  for (const Dependency& dep : workflow.spec.dependencies()) {
-    spec_.Add(dep.name, dep.expr);
+  impossible_ |= compiled->impossible();
+  if (!symbols.empty() && actors_.size() <= *symbols.rbegin()) {
+    actors_.resize(*symbols.rbegin() + 1);
   }
-  for (SymbolId symbol : compiled.symbols()) {
-    symbols_.insert(symbol);
+  for (SymbolId symbol : symbols) {
     int site = 0;
     EventAttributes attrs;
     const EventDecl* decl = workflow.FindEvent(symbol);
@@ -139,19 +129,16 @@ Status GuardScheduler::Install(const CompiledWorkflow& compiled,
       const AgentDecl* agent = workflow.FindAgent(decl->agent);
       if (agent != nullptr) site = agent->site;
     }
-    attrs_[symbol] = attrs;
     EventLiteral pos = EventLiteral::Positive(symbol);
     EventLiteral neg_lit = EventLiteral::Complement(symbol);
-    compiled_guards_[pos] = compiled.GuardFor(pos);
-    compiled_guards_[neg_lit] = compiled.GuardFor(neg_lit);
+    ActorSlot& slot = actors_[symbol];
+    slot.compiled = compiled.get();
     // The complement literal is scheduler bookkeeping ("e will never
     // occur"): delayable and rejectable, never user-triggerable.
     EventAttributes negative;
-    actors_[symbol] = std::make_unique<EventActor>(
-        this, symbol, site, compiled.GuardFor(pos), compiled.GuardFor(neg_lit),
-        attrs, negative, &actor_obs_);
-    if (actor_index_.size() <= symbol) actor_index_.resize(symbol + 1, nullptr);
-    actor_index_[symbol] = actors_[symbol].get();
+    slot.actor = std::make_unique<EventActor>(
+        this, symbol, site, compiled->GuardFor(pos),
+        compiled->GuardFor(neg_lit), attrs, negative, &actor_obs_);
     if (options_.profiler != nullptr) {
       // One (dependency, event) site per contribution to the compiled
       // conjunction (deduplicated profiler-wide, carrying the dependency's
@@ -161,15 +148,15 @@ Status GuardScheduler::Install(const CompiledWorkflow& compiled,
       for (EventLiteral l : {pos, neg_lit}) {
         std::vector<GuardProfile::Share>& dst =
             l.complemented() ? profile.negative : profile.positive;
-        for (const auto& [di, g] : compiled.ContributionsFor(l)) {
-          const Dependency& dep = compiled.dependencies()[di];
+        for (const auto& [di, g] : compiled->ContributionsFor(l)) {
+          const Dependency& dep = compiled->dependencies()[di];
           dst.push_back(GuardProfile::Share{
               options_.profiler->RegisterSite(
                   dep.name, ctx_->alphabet()->LiteralName(l), dep.loc),
-              FlatProgram::Lower(g).ops.size()});
+              ctx_->flat_evaluator()->ProgramFor(g).ops.size()});
         }
       }
-      actors_[symbol]->set_profile(&profile);
+      slot.actor->set_profile(&profile);
     }
     if (tracer_ != nullptr) {
       tracer_->NameProcess(site, StrCat("site ", site));
@@ -177,25 +164,13 @@ Status GuardScheduler::Install(const CompiledWorkflow& compiled,
                         StrCat("actor ", ctx_->alphabet()->Name(symbol)));
     }
   }
-  // Static subscriptions: an actor hears about every symbol its guards
-  // mention (reduction can only shrink the mentioned set). Instances are
-  // symbol-disjoint, so new subscriptions never involve old actors.
-  for (SymbolId symbol : compiled.symbols()) {
-    std::set<SymbolId> mentioned =
-        GuardSymbols(compiled.GuardFor(EventLiteral::Positive(symbol)));
-    std::set<SymbolId> neg =
-        GuardSymbols(compiled.GuardFor(EventLiteral::Complement(symbol)));
-    mentioned.insert(neg.begin(), neg.end());
-    for (SymbolId m : mentioned) {
-      if (m != symbol) subscribers_[m].insert(symbol);
-    }
-  }
+  installed_.push_back(std::move(compiled));
   return Status::OK();
 }
 
 const Guard* GuardScheduler::CompiledGuardOf(EventLiteral literal) const {
-  auto it = compiled_guards_.find(literal);
-  return it == compiled_guards_.end() ? ctx_->guards()->True() : it->second;
+  if (FindActor(literal.symbol()) == nullptr) return ctx_->guards()->True();
+  return actors_[literal.symbol()].compiled->GuardFor(literal);
 }
 
 void GuardScheduler::Attempt(EventLiteral literal, AttemptCallback done) {
@@ -207,8 +182,8 @@ void GuardScheduler::Attempt(EventLiteral literal, AttemptCallback done) {
     if (done) done(Decision::kRejected);
     return;
   }
-  auto it = actors_.find(literal.symbol());
-  if (it == actors_.end()) {
+  EventActor* actor = FindActor(literal.symbol());
+  if (actor == nullptr) {
     // An event no dependency mentions is not significant for coordination
     // (§2): it occurs immediately and is not recorded. (Recording it
     // would also break trace validity for looping tasks, whose repeated
@@ -217,7 +192,6 @@ void GuardScheduler::Attempt(EventLiteral literal, AttemptCallback done) {
     if (done) done(Decision::kAccepted);
     return;
   }
-  EventActor* actor = it->second.get();
   if (observe_lifecycle_) {
     done = WrapAttempt(literal, actor->site(), std::move(done));
   }
@@ -265,19 +239,28 @@ AttemptCallback GuardScheduler::WrapAttempt(EventLiteral literal, int site,
 }
 
 const Guard* GuardScheduler::CurrentGuardOf(EventLiteral literal) const {
-  auto it = actors_.find(literal.symbol());
-  if (it == actors_.end()) return CompiledGuardOf(literal);
-  return it->second->CurrentGuard(literal);
+  const EventActor* actor = FindActor(literal.symbol());
+  return actor == nullptr ? ctx_->guards()->True()
+                          : actor->CurrentGuard(literal);
 }
 
 EventActor* GuardScheduler::actor(SymbolId symbol) {
-  auto it = actors_.find(symbol);
-  return it == actors_.end() ? nullptr : it->second.get();
+  return FindActor(symbol);
+}
+
+std::vector<SymbolId> GuardScheduler::symbols() const {
+  std::vector<SymbolId> out;
+  for (const ActorSlot& slot : actors_) {
+    if (slot.actor != nullptr) out.push_back(slot.actor->symbol());
+  }
+  return out;
 }
 
 size_t GuardScheduler::parked_count() const {
   size_t n = 0;
-  for (const auto& [symbol, actor] : actors_) n += actor->parked_count();
+  for (const ActorSlot& slot : actors_) {
+    if (slot.actor != nullptr) n += slot.actor->parked_count();
+  }
   return n;
 }
 
@@ -289,20 +272,24 @@ void GuardScheduler::Close() {
 
 std::vector<SymbolId> GuardScheduler::Undecided() const {
   std::vector<SymbolId> out;
-  for (const auto& [symbol, actor] : actors_) {
-    if (!actor->decided()) out.push_back(symbol);
+  for (const ActorSlot& slot : actors_) {
+    if (slot.actor != nullptr && !slot.actor->decided()) {
+      out.push_back(slot.actor->symbol());
+    }
   }
   return out;
 }
 
 bool GuardScheduler::HistoryConsistent(bool require_satisfaction) const {
-  for (const Dependency& dep : spec_.dependencies()) {
-    const Expr* residual = ctx_->residuator()->ResiduateTrace(dep.expr,
-                                                              history_);
-    if (require_satisfaction) {
-      if (!residual->IsTop()) return false;
-    } else if (residual->IsZero()) {
-      return false;
+  for (const CompiledWorkflowRef& compiled : installed_) {
+    for (const Dependency& dep : compiled->dependencies()) {
+      const Expr* residual =
+          ctx_->residuator()->ResiduateTrace(dep.expr, history_);
+      if (require_satisfaction) {
+        if (!residual->IsTop()) return false;
+      } else if (residual->IsZero()) {
+        return false;
+      }
     }
   }
   return true;
@@ -346,7 +333,7 @@ void GuardScheduler::CountMessage(RuntimeMessageKind kind) {
 void GuardScheduler::TraceSend(SymbolId from, SymbolId target,
                                const RuntimeMessage& msg) {
   const Alphabet& alphabet = *ctx_->alphabet();
-  int src_site = actors_.at(from)->site();
+  int src_site = FindActor(from)->site();
   SimTime now = sim_->now();
   if (msg.span_id != 0) {
     // Flow arrow origin; TraceDeliver emits the matching end at the
@@ -400,19 +387,17 @@ void GuardScheduler::TraceDeliver(const RuntimeMessage& msg,
 }
 
 void GuardScheduler::Broadcast(SymbolId from, const RuntimeMessage& msg) {
-  auto it = subscribers_.find(from);
-  if (it == subscribers_.end()) return;
-  int src_site = actors_.at(from)->site();
-  for (SymbolId target : it->second) {
-    Send(from, src_site, actors_.at(target).get(), msg);
+  int src_site = FindActor(from)->site();
+  for (SymbolId target : SubscribersOf(from)) {
+    Send(from, src_site, FindActor(target), msg);
   }
 }
 
 void GuardScheduler::SendTo(SymbolId from, SymbolId target,
                             const RuntimeMessage& msg) {
-  auto it = actors_.find(target);
-  if (it == actors_.end()) return;
-  Send(from, actors_.at(from)->site(), it->second.get(), msg);
+  EventActor* to = FindActor(target);
+  if (to == nullptr) return;
+  Send(from, FindActor(from)->site(), to, msg);
 }
 
 void GuardScheduler::Send(SymbolId from, int src_site, EventActor* to,
@@ -437,8 +422,7 @@ void GuardScheduler::Send(SymbolId from, int src_site, EventActor* to,
 void GuardScheduler::Deliver(int src_site, int dst_site,
                              Simulator::Callback fn) {
   if (transport_ != nullptr) {
-    transport_->Send(src_site, dst_site, options_.message_bytes,
-                     std::move(fn));
+    transport_->Send(src_site, dst_site, kMessageBytes, std::move(fn));
   } else {
     sim_->Schedule(0, std::move(fn));
   }
@@ -457,7 +441,7 @@ void GuardScheduler::RecordOccurrence(EventLiteral literal,
   }
   occurrences_->Increment();
   if (tracer_ != nullptr) {
-    const EventActor* actor = actors_.at(literal.symbol()).get();
+    const EventActor* actor = FindActor(literal.symbol());
     tracer_->Instant(obs::SpanCategory::kLifecycle,
                      StrCat("occur ", ctx_->alphabet()->LiteralName(literal)),
                      stamp.time, actor->site(), literal.symbol(),
@@ -549,12 +533,10 @@ Status GuardScheduler::Recover(const EventLog& log) {
   // suffix equals folding the full history. No parked attempts exist yet,
   // so nothing can fire.
   for (const EventLog::Record& record : log.records()) {
-    auto sub = subscribers_.find(record.literal.symbol());
-    if (sub == subscribers_.end()) continue;
     RuntimeMessage announce{RuntimeMessageKind::kAnnounce, record.literal,
                             record.stamp, EventLiteral(), {}, nullptr, {}};
-    for (SymbolId target : sub->second) {
-      actor_index_[target]->Receive(announce);
+    for (SymbolId target : SubscribersOf(record.literal.symbol())) {
+      FindActor(target)->Receive(announce);
     }
   }
   return Status::OK();
@@ -571,19 +553,18 @@ CheckpointState GuardScheduler::Snapshot() const {
   state.next_seq = next_seq_;
   state.clock = sim_->now();
   state.history = history_;
-  for (const auto& [symbol, actor] : actors_) {
-    if (actor->decided()) continue;
+  for (const ActorSlot& slot : actors_) {
+    if (slot.actor == nullptr || slot.actor->decided()) continue;
+    SymbolId symbol = slot.actor->symbol();
     EventLiteral positive = EventLiteral::Positive(symbol);
     EventLiteral negative = EventLiteral::Complement(symbol);
-    const Guard* heard_positive = actor->HeardResidual(positive);
-    const Guard* heard_negative = actor->HeardResidual(negative);
+    const Guard* heard_positive = slot.actor->HeardResidual(positive);
+    const Guard* heard_negative = slot.actor->HeardResidual(negative);
     // Hash-consing makes "has this actor's knowledge moved its guards?" a
     // pointer comparison; untouched actors are omitted and recovery leaves
     // them on the compiled table.
-    auto cp = compiled_guards_.find(positive);
-    auto cn = compiled_guards_.find(negative);
-    if (cp != compiled_guards_.end() && cp->second == heard_positive &&
-        cn != compiled_guards_.end() && cn->second == heard_negative) {
+    if (slot.compiled->GuardFor(positive) == heard_positive &&
+        slot.compiled->GuardFor(negative) == heard_negative) {
       continue;
     }
     state.actors.push_back({symbol, heard_positive, heard_negative});
@@ -594,11 +575,8 @@ CheckpointState GuardScheduler::Snapshot() const {
 
 bool GuardScheduler::MayTrigger(EventLiteral literal) const {
   if (literal.complemented()) return false;
-  auto it = attrs_.find(literal.symbol());
-  if (it == attrs_.end()) return false;
-  if (!it->second.triggerable) return false;
-  auto actor_it = actors_.find(literal.symbol());
-  return actor_it != actors_.end() && !actor_it->second->decided();
+  const EventActor* actor = FindActor(literal.symbol());
+  return actor != nullptr && actor->triggerable() && !actor->decided();
 }
 
 }  // namespace cdes

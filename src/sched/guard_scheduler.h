@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -20,17 +19,8 @@
 namespace cdes {
 
 struct GuardSchedulerOptions {
-  /// Semantic canonicalization of compiled guards (Example 9 forms).
-  bool simplify_guards = true;
   /// Enable the conditional-promise consensus of Example 11.
   bool enable_promises = true;
-  /// Estimated bytes per runtime message, for network accounting.
-  size_t message_bytes = 48;
-  /// Tuning for the reliable-delivery layer every protocol message rides
-  /// on. The layer is pass-through (no ids, acks, or timers) unless the
-  /// network has fault injection configured, so these knobs cost nothing
-  /// on a reliable network.
-  ReliableTransportOptions reliability;
   /// When set, every occurrence is appended (stamp + literal) before it is
   /// announced; GuardScheduler::Recover replays such a log after a crash.
   EventLog* durable_log = nullptr;
@@ -89,6 +79,14 @@ struct GuardSchedulerStats {
 /// and promises. There is no central component: every message is
 /// actor-to-actor, through the simulated network or, for co-located
 /// actors, through the simulator's run queue.
+///
+/// Everything static lives in the installed CompiledWorkflow tables, which
+/// many schedulers may share: the compiled guards, the dependencies, and
+/// who subscribes to whose announcements (CompiledWorkflow::SubscribersOf).
+/// A scheduler owns only what differs between instances: one actor per
+/// installed symbol, in a dense SymbolId-indexed table whose slots point at
+/// the compiled table they came from, plus the history and the stamp
+/// sequence.
 class GuardScheduler : public Scheduler, public ActorHost {
  public:
   /// Compiles `workflow` in `ctx` and instantiates actors on `network`'s
@@ -102,7 +100,8 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// `workflow.spec` in `ctx` (same arenas). This is the multi-instance
   /// fast path — the engine compiles a spec once per shard and constructs
   /// thousands of instance schedulers against the same immutable table,
-  /// skipping the exponential per-dependency canonicalization each time.
+  /// skipping the exponential per-dependency canonicalization and the
+  /// subscription wiring each time.
   GuardScheduler(WorkflowContext* ctx, CompiledWorkflowRef compiled,
                  const ParsedWorkflow& workflow, Network* network,
                  const GuardSchedulerOptions& options = {});
@@ -118,8 +117,8 @@ class GuardScheduler : public Scheduler, public ActorHost {
 
   /// Installs a further workflow instance at runtime (§5.1: "Attempting
   /// some key event binds the parameters of all events, thus instantiating
-  /// the workflow afresh"): new actors are created for its events and
-  /// scheduling of existing instances is unaffected. The new instance's
+  /// the workflow afresh"): compiles it, creates actors for its events, and
+  /// leaves scheduling of existing instances unaffected. The new instance's
   /// symbols must be disjoint from every installed instance's (instances
   /// from a WorkflowTemplate are, by construction of the mangled names).
   Status AddInstance(const ParsedWorkflow& workflow);
@@ -160,8 +159,8 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// The exactly-once delivery layer protocol messages ride on over a
   /// Network, or nullptr for co-located actors.
   ReliableTransport* transport() const { return transport_.get(); }
-  /// Symbols of all installed instances.
-  const std::set<SymbolId>& symbols() const { return symbols_; }
+  /// Symbols of all installed instances, ascending.
+  std::vector<SymbolId> symbols() const;
 
   /// Drives the computation toward a maximal trace (the universe U_T over
   /// which guards are interpreted): attempts the complement of every still
@@ -221,12 +220,16 @@ class GuardScheduler : public Scheduler, public ActorHost {
   FlatEvaluator* flat_evaluator() override { return ctx_->flat_evaluator(); }
 
  private:
+  /// One installed symbol: its actor and the compiled table it came from
+  /// (which holds its compiled guards and its subscribers).
+  struct ActorSlot {
+    std::unique_ptr<EventActor> actor;
+    const CompiledWorkflow* compiled = nullptr;
+  };
+
   /// Shared constructor body: resolves metric handles and installs the
-  /// first instance (compiling it unless `compiled` is provided).
+  /// first instance.
   void Init(const ParsedWorkflow& workflow, CompiledWorkflowRef compiled);
-  /// Instantiates actors and subscriptions for one compiled instance.
-  Status Install(const CompiledWorkflow& compiled,
-                 const ParsedWorkflow& workflow);
   /// Wraps an attempt callback with lifecycle tracing and decision-latency
   /// accounting (only called when observe_lifecycle_).
   AttemptCallback WrapAttempt(EventLiteral literal, int site,
@@ -238,10 +241,15 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// Hands one delivery to the transport, or, for co-located actors, posts
   /// it on the run queue at zero delay.
   void Deliver(int src_site, int dst_site, Simulator::Callback fn);
-  /// O(1) actor lookup through the dense index; nullptr when `symbol` has
+  /// O(1) actor lookup through the dense table; nullptr when `symbol` has
   /// no actor in this scheduler.
   EventActor* FindActor(SymbolId symbol) const {
-    return symbol < actor_index_.size() ? actor_index_[symbol] : nullptr;
+    return symbol < actors_.size() ? actors_[symbol].actor.get() : nullptr;
+  }
+  /// The subscribers of an installed symbol (its compiled table's
+  /// SubscribersOf).
+  const std::vector<SymbolId>& SubscribersOf(SymbolId symbol) const {
+    return actors_[symbol].compiled->SubscribersOf(symbol);
   }
   void TraceSend(SymbolId from, SymbolId target, const RuntimeMessage& msg);
   /// Assimilation instant + flow-arrow end at the destination actor; runs
@@ -254,31 +262,22 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// Null for co-located actors.
   std::unique_ptr<ReliableTransport> transport_;
   GuardSchedulerOptions options_;
-  /// Per-literal compiled guards across all installed instances.
-  std::map<EventLiteral, const Guard*> compiled_guards_;
-  std::set<SymbolId> symbols_;
+  /// The installed compiled tables, in install order, kept alive for the
+  /// slots that point into them.
+  std::vector<CompiledWorkflowRef> installed_;
+  /// Some installed table is impossible (an unsatisfiable dependency).
   bool impossible_ = false;
-  std::map<SymbolId, std::unique_ptr<EventActor>> actors_;
-  /// Dense SymbolId → actor view over actors_ (nullptr for symbols not
-  /// installed here). Recover's restore/replay passes do one lookup per
-  /// log record across tens of thousands of records; indexing a vector
-  /// replaces a red-black-tree walk each time. actors_ keeps ownership
-  /// and deterministic iteration order.
-  std::vector<EventActor*> actor_index_;
+  /// SymbolId-indexed actor table (empty slots for symbols not installed
+  /// here): O(1) lookup on every message and log record, and iteration in
+  /// ascending symbol order.
+  std::vector<ActorSlot> actors_;
   /// Per-actor site tables when options_.profiler is set (node-stable map:
   /// actors hold pointers into it).
   std::map<SymbolId, GuardProfile> profiles_;
-  /// symbol → symbols of actors whose guards mention it.
-  std::map<SymbolId, std::set<SymbolId>> subscribers_;
-  std::map<SymbolId, EventAttributes> attrs_;
   Trace history_;
   std::vector<std::function<void(EventLiteral)>> listeners_;
   uint64_t next_seq_ = 0;
   size_t violations_ = 0;
-  WorkflowSpec spec_;
-  /// Shared compiled tables installed via AddInstanceCompiled, kept alive
-  /// for the actors that point into them.
-  std::vector<CompiledWorkflowRef> shared_compiles_;
 
   // ---- Observability (see docs/OBSERVABILITY.md) ----
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;

@@ -259,13 +259,16 @@ TEST_P(ScheduleSpaceSweep, RandomWorkflowsAreRaceFreeAndSafe) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, ScheduleSpaceSweep,
-                         ::testing::Values(SweepParam{31, 2, 1},
-                                           SweepParam{32, 2, 2},
-                                           SweepParam{33, 3, 1},
-                                           SweepParam{34, 3, 2},
-                                           SweepParam{35, 3, 3},
-                                           SweepParam{36, 4, 1}));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ScheduleSpaceSweep,
+    ::testing::Values(SweepParam{31, 2, 1}, SweepParam{32, 2, 2},
+                      SweepParam{33, 3, 1}, SweepParam{34, 3, 2},
+                      SweepParam{35, 3, 3}, SweepParam{36, 4, 1}),
+    [](const ::testing::TestParamInfo<SweepParam>& info) {
+      const SweepParam& p = info.param;
+      return StrCat("seed", p.seed, "_symbols", p.symbol_count, "_deps",
+                    p.dependency_count);
+    });
 
 }  // namespace
 }  // namespace cdes

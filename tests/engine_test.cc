@@ -494,6 +494,41 @@ TEST(EngineTest, MetricsSnapshotAddsUp) {
   EXPECT_EQ(occurrences, snap.events);
 }
 
+TEST(EngineTest, ResiduationTalliesSumAcrossShards) {
+  // Each shard's residuator keeps its own hit/miss tallies, published as
+  // shard gauges; the engine-wide figures are their sums, in the snapshot
+  // and in the merged registry (Prometheus, telemetry, cdes-top).
+  EngineOptions opts;
+  opts.shards = 2;
+  Engine eng(TravelSpec(), opts);
+  for (size_t i = 0; i < 200; ++i) ASSERT_TRUE(eng.Submit(ScriptFor(i)).ok());
+  eng.Drain();
+  eng.Stop();
+  double hits = 0, misses = 0;
+  for (size_t k = 0; k < eng.shard_count(); ++k) {
+    const auto& gauges = eng.shard_metrics(k).gauges();
+    auto h = gauges.find("algebra.residuation_cache_hits");
+    auto m = gauges.find("algebra.residuation_cache_misses");
+    ASSERT_NE(h, gauges.end()) << "shard " << k;
+    ASSERT_NE(m, gauges.end()) << "shard " << k;
+    // Both shards did work, so no single shard's tally is the total.
+    EXPECT_GT(h->second->value(), 0) << "shard " << k;
+    EXPECT_GT(m->second->value(), 0) << "shard " << k;
+    hits += h->second->value();
+    misses += m->second->value();
+  }
+  EngineMetricsSnapshot snap = eng.Metrics();
+  EXPECT_EQ(static_cast<double>(snap.residuation_cache_hits), hits);
+  EXPECT_EQ(static_cast<double>(snap.residuation_cache_misses), misses);
+  obs::MetricsRegistry merged;
+  eng.MergeMetricsInto(&merged);
+  ASSERT_TRUE(merged.gauges().count("algebra.residuation_cache_hits"));
+  EXPECT_EQ(merged.gauge("algebra.residuation_cache_hits")->value(), hits);
+  EXPECT_EQ(merged.gauge("algebra.residuation_cache_misses")->value(),
+            misses);
+  EXPECT_FALSE(merged.counters().count("algebra.residuation_cache_hits"));
+}
+
 TEST(EngineTest, InstanceSpansRecordedWhenTraced) {
   obs::TraceRecorder recorder;
   EngineOptions opts;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -7,6 +10,7 @@
 #include "guards/context.h"
 #include "common/strings.h"
 #include "guards/workflow.h"
+#include "spec/parser.h"
 #include "temporal/guard_semantics.h"
 #include "temporal/simplify.h"
 
@@ -223,6 +227,90 @@ TEST_F(GuardsTest, GeneratesMatchesDefinition4) {
   EXPECT_TRUE(cw.Generates({nf_, pe_}));
 }
 
+// ------------------------------------------------ Subscriptions (§4.3)
+
+// The brute-force relation: every other symbol t whose guards (either
+// polarity) mention s, in ascending order.
+std::vector<SymbolId> BruteForceSubscribers(const CompiledWorkflow& cw,
+                                            SymbolId s) {
+  std::vector<SymbolId> out;
+  for (SymbolId t : cw.symbols()) {
+    if (t == s) continue;
+    std::set<SymbolId> mentioned =
+        GuardSymbols(cw.GuardFor(EventLiteral::Positive(t)));
+    std::set<SymbolId> negative =
+        GuardSymbols(cw.GuardFor(EventLiteral::Complement(t)));
+    mentioned.insert(negative.begin(), negative.end());
+    if (mentioned.count(s)) out.push_back(t);
+  }
+  return out;
+}
+
+TEST(SubscribersTest, TravelWorkflowWiring) {
+  std::ifstream in(CDES_SOURCE_DIR "/examples/specs/travel.wf");
+  ASSERT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  WorkflowContext ctx;
+  auto parsed = ParseWorkflow(&ctx, text.str(), "travel.wf");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  CompiledWorkflow cw = CompileWorkflow(&ctx, parsed.value().spec);
+  const Alphabet& alphabet = *ctx.alphabet();
+  auto subscribers = [&](const char* name) {
+    std::vector<std::string> out;
+    for (SymbolId t : cw.SubscribersOf(alphabet.Find(name))) {
+      out.push_back(alphabet.Name(t));
+    }
+    return out;
+  };
+  // G(s_buy) = ◇s_book, G(¬s_book) = ◇¬s_buy, G(c_buy) = □c_book,
+  // G(¬c_buy) = ◇(¬c_book + s_cancel), G(c_book) = ¬c_buy | ◇(c_buy +
+  // s_cancel), G(¬c_book) = ◇¬c_buy, G(¬s_cancel) = ◇(c_buy + ¬c_book);
+  // symbols ascend in declaration order.
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(subscribers("s_buy"), Names({"s_book"}));
+  EXPECT_EQ(subscribers("c_buy"), Names({"c_book", "s_cancel"}));
+  EXPECT_EQ(subscribers("s_book"), Names({"s_buy"}));
+  EXPECT_EQ(subscribers("c_book"), Names({"c_buy", "s_cancel"}));
+  EXPECT_EQ(subscribers("s_cancel"), Names({"c_buy", "c_book"}));
+  for (SymbolId s : cw.symbols()) {
+    EXPECT_EQ(cw.SubscribersOf(s), BruteForceSubscribers(cw, s));
+  }
+  // A symbol the workflow does not mention has no subscribers.
+  EXPECT_TRUE(cw.SubscribersOf(ctx.alphabet()->Intern("elsewhere")).empty());
+}
+
+TEST(SubscribersTest, MatchesBruteForceOnRandomSpecs) {
+  // The random dependencies the checker and cache property tests draw
+  // (no constants, depth 3, arity 3), compiled with and without
+  // simplification.
+  RandomExprOptions options;
+  options.max_depth = 3;
+  options.max_arity = 3;
+  options.constant_probability = 0.0;
+  size_t nonempty = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    options.symbol_count = 2 + seed % 4;
+    for (bool simplify : {true, false}) {
+      WorkflowContext ctx;
+      WorkflowSpec spec;
+      for (size_t d = 0; d < 1 + seed % 3; ++d) {
+        spec.Add(StrCat("d", d),
+                 GenerateRandomExpr(ctx.exprs(), &rng, options));
+      }
+      CompiledWorkflow cw =
+          CompileWorkflow(&ctx, spec, CompileOptions{.simplify = simplify});
+      for (SymbolId s = 0; s < options.symbol_count; ++s) {
+        EXPECT_EQ(cw.SubscribersOf(s), BruteForceSubscribers(cw, s))
+            << "seed " << seed << " symbol " << s;
+        nonempty += !cw.SubscribersOf(s).empty();
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 50u);  // the sweep exercises real wiring (87 lists)
+}
+
 // --------------------------------------------------- Theorem 6 (property)
 
 struct Theorem6Param {
@@ -265,7 +353,12 @@ INSTANTIATE_TEST_SUITE_P(
                       Theorem6Param{14, 3, 2, false},
                       Theorem6Param{15, 3, 3, false},
                       Theorem6Param{16, 2, 2, true},
-                      Theorem6Param{17, 3, 2, true}));
+                      Theorem6Param{17, 3, 2, true}),
+    [](const ::testing::TestParamInfo<Theorem6Param>& info) {
+      const Theorem6Param& p = info.param;
+      return StrCat("seed", p.seed, "_symbols", p.symbol_count, "_deps",
+                    p.dependency_count, p.simplify ? "_simplified" : "_raw");
+    });
 
 TEST_F(GuardsTest, SynthesisCacheGrowsAndIsReused) {
   const Expr* d = KleinPrecedes(ctx_.exprs(), e_, f_);

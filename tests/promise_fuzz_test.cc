@@ -133,7 +133,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FuzzParam{41, 2, 1, true}, FuzzParam{42, 2, 2, true},
                       FuzzParam{43, 3, 2, true}, FuzzParam{44, 3, 3, true},
                       FuzzParam{45, 4, 2, true}, FuzzParam{46, 3, 2, false},
-                      FuzzParam{47, 4, 3, false}));
+                      FuzzParam{47, 4, 3, false}),
+    [](const ::testing::TestParamInfo<FuzzParam>& info) {
+      const FuzzParam& p = info.param;
+      return StrCat("seed", p.seed, "_symbols", p.symbol_count, "_deps",
+                    p.dependency_count, p.fifo ? "_fifo" : "_reorder");
+    });
 
 TEST(PromiseChainTest, LongChainsResolveFromSimultaneousAttempts) {
   // a1·a2·...·an with every event attempted at once: promise forwarding

@@ -12,6 +12,7 @@
 #include "algebra/semantics.h"
 #include "algebra/trace.h"
 #include "common/rng.h"
+#include "common/strings.h"
 
 namespace cdes {
 namespace {
@@ -223,7 +224,12 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, Theorem1Test,
     ::testing::Values(Theorem1Param{1, 2, 2}, Theorem1Param{2, 2, 3},
                       Theorem1Param{3, 3, 2}, Theorem1Param{4, 3, 3},
-                      Theorem1Param{5, 2, 4}));
+                      Theorem1Param{5, 2, 4}),
+    [](const ::testing::TestParamInfo<Theorem1Param>& info) {
+      const Theorem1Param& p = info.param;
+      return StrCat("seed", p.seed, "_symbols", p.symbol_count, "_depth",
+                    p.max_depth);
+    });
 
 // ---------------------------------------------- Chained-residual property
 

@@ -608,13 +608,16 @@ TEST_P(SchedulerSafetyTest, AcceptedHistoriesNeverViolateDependencies) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, SchedulerSafetyTest,
-                         ::testing::Values(SafetyParam{21, 2, 1},
-                                           SafetyParam{22, 2, 2},
-                                           SafetyParam{23, 3, 1},
-                                           SafetyParam{24, 3, 2},
-                                           SafetyParam{25, 3, 3},
-                                           SafetyParam{26, 4, 2}));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SchedulerSafetyTest,
+    ::testing::Values(SafetyParam{21, 2, 1}, SafetyParam{22, 2, 2},
+                      SafetyParam{23, 3, 1}, SafetyParam{24, 3, 2},
+                      SafetyParam{25, 3, 3}, SafetyParam{26, 4, 2}),
+    [](const ::testing::TestParamInfo<SafetyParam>& info) {
+      const SafetyParam& p = info.param;
+      return StrCat("seed", p.seed, "_symbols", p.symbol_count, "_deps",
+                    p.dependency_count);
+    });
 
 TEST(GuardSchedulerTest, DeterministicUnderSeed) {
   auto run = [](uint64_t seed) {

@@ -85,7 +85,8 @@ TEST_P(SoundnessTest, RuntimeReductionIsConservative) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SoundnessTest,
-                         ::testing::Values(1001, 1002, 1003, 1004));
+                         ::testing::Values(1001, 1002, 1003, 1004),
+                         ::testing::PrintToStringParamName());
 
 TEST(GuardArenaIdentityTest, DiamondMergePreservesSemantics) {
   WorkflowContext ctx;
