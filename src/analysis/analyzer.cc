@@ -13,6 +13,9 @@
 namespace cdes::analysis {
 namespace {
 
+/// Max joint symbols of a dependency pair for the redundancy check (CL007).
+constexpr size_t kMaxEntailmentSymbols = 8;
+
 /// Decides traces(d1) ⊆ traces(d2) by exploring, with memoization, every
 /// interleaving of the joint alphabet through both residual machines at
 /// once (Figure 2 run in lockstep). A maximal trace over the joint symbols
@@ -65,10 +68,10 @@ class EntailmentChecker {
 /// True when `g` denotes no point of its state space. The constructor
 /// rules collapse most dead guards to the False node; the semantic check
 /// catches the rest, but only below the state-space cap.
-bool GuardDefinitelyDead(const Guard* g, size_t max_symbols) {
+bool GuardDefinitelyDead(const Guard* g) {
   if (g->IsFalse()) return true;
   if (g->IsTrue()) return false;
-  if (GuardSymbols(g).size() > max_symbols) return false;
+  if (GuardSymbols(g).size() > kMaxStateSpaceSymbols) return false;
   return GuardIsUnsatisfiable(g);
 }
 
@@ -178,7 +181,7 @@ class Analyzer {
 
   bool DependencyVacuous(const Expr* expr) {
     if (expr->IsTop()) return true;
-    if (MentionedSymbols(expr).size() > options_.max_state_space_symbols) {
+    if (MentionedSymbols(expr).size() > kMaxStateSpaceSymbols) {
       return false;
     }
     // ◇E ≡ ⊤ over Γ_E iff every maximal trace eventually satisfies E.
@@ -213,8 +216,7 @@ class Analyzer {
     for (SymbolId symbol : compiled.symbols()) {
       for (EventLiteral literal :
            {EventLiteral::Positive(symbol), EventLiteral::Complement(symbol)}) {
-        if (GuardDefinitelyDead(compiled.GuardFor(literal),
-                                options_.max_state_space_symbols)) {
+        if (GuardDefinitelyDead(compiled.GuardFor(literal))) {
           dead_.insert(literal);
         }
       }
@@ -304,7 +306,7 @@ class Analyzer {
         for (SymbolId s : other) shares |= joint.count(s) > 0;
         if (!shares) continue;  // disjoint alphabets cannot entail
         joint.insert(other.begin(), other.end());
-        if (joint.size() > options_.max_entailment_symbols) continue;
+        if (joint.size() > kMaxEntailmentSymbols) continue;
         EntailmentChecker checker(
             ctx_->residuator(),
             std::vector<SymbolId>(joint.begin(), joint.end()));

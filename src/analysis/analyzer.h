@@ -12,14 +12,11 @@ namespace cdes::analysis {
 /// Knobs for the static analyzer. The state-space passes (vacuity, deep
 /// guard-triviality, redundancy) are exact but exponential in the number of
 /// symbols a single dependency (pair) mentions, so they are skipped beyond
-/// the caps; the always-on passes (satisfiability via the residual graph,
-/// syntactic guard triviality, the wait graph, hygiene) have no cap.
+/// fixed caps (kMaxStateSpaceSymbols for one dependency or guard, 8 joint
+/// symbols for a redundancy pair); the always-on passes (satisfiability via
+/// the residual graph, syntactic guard triviality, the wait graph, hygiene)
+/// have no cap.
 struct AnalyzeOptions {
-  /// Max symbols of one dependency/guard for the semantic ≡⊤ / ≡0 checks
-  /// (state space is 2^k·k!·(k+1) points — same bound as SimplifyGuard).
-  size_t max_state_space_symbols = 6;
-  /// Max joint symbols of a dependency pair for the redundancy check.
-  size_t max_entailment_symbols = 8;
   /// Pairwise dependency entailment (CL007) can be disabled wholesale.
   bool check_redundancy = true;
   /// Run the exhaustive reachability checker (CL020–CL024) after the

@@ -19,6 +19,10 @@ namespace {
 
 constexpr uint32_t kNoPred = 0xFFFFFFFFu;
 
+/// Counterexample diagnostics emitted per rule and direction (every
+/// reachable bad state is still *counted* in the stats).
+constexpr size_t kMaxCounterexamples = 4;
+
 /// One bit per literal, indexed 2i / 2i+1 like CheckState::guards.
 using LiteralMask = std::bitset<128>;
 
@@ -289,7 +293,7 @@ class ModelChecker {
     } else if (spec_ok) {
       // Guards too strict: every dependency is satisfied but the guards do
       // not generate the computation.
-      if (strict_reported_ < options_.max_counterexamples) {
+      if (strict_reported_ < kMaxCounterexamples) {
         ++strict_reported_;
         Trace u = PathTo(id);
         Report(Rule::kGuardSpecMismatch,
@@ -304,7 +308,7 @@ class ModelChecker {
   /// Guards too liberal: the guards admit `s` with every obligation met,
   /// yet it violates a dependency — the synthesis lost a constraint.
   void ReportLiberal(uint32_t id, const CheckState& s) {
-    if (liberal_reported_ >= options_.max_counterexamples) return;
+    if (liberal_reported_ >= kMaxCounterexamples) return;
     ++liberal_reported_;
     Trace u = PathTo(id);
     size_t d = 0;  // some residual is 0 (the caller's !SpecAlive)
@@ -321,7 +325,7 @@ class ModelChecker {
   /// ¬-race: `b` is undecided at state `id`, some parent u enabled both b
   /// and the literal a leading here, and D/u·a·b = 0.
   void ReportRace(uint32_t id, EventLiteral b) {
-    if (race_reported_ >= options_.max_counterexamples) return;
+    if (race_reported_ >= kMaxCounterexamples) return;
     ++race_reported_;
     const CheckState& s = *records_[id].state;
     size_t d = 0;  // some residual collapses under b (the caller's spec_ok)
@@ -372,7 +376,7 @@ class ModelChecker {
 
 
   void ReportDeadlock(uint32_t id, const CheckState& s) {
-    if (deadlock_reported_ >= options_.max_counterexamples) return;
+    if (deadlock_reported_ >= kMaxCounterexamples) return;
     ++deadlock_reported_;
     Trace u = PathTo(id);
     std::vector<std::string> blocked;
@@ -406,11 +410,14 @@ class ModelChecker {
       if (permitted_[i]) continue;
       SymbolId symbol = space_.symbols()[i];
       const Guard* g = compiled_.GuardFor(EventLiteral::Positive(symbol));
-      // Statically dead guards are CL003's finding; CL021 is reserved for
-      // the conjunction-of-guards interactions only reachability sees.
-      // The symbol cap mirrors AnalyzeOptions::max_state_space_symbols.
+      // Statically dead guards are CL003's finding (under the same symbol
+      // cap); CL021 is reserved for the conjunction-of-guards interactions
+      // only reachability sees.
       if (g->IsFalse()) continue;
-      if (GuardSymbols(g).size() <= 6 && GuardIsUnsatisfiable(g)) continue;
+      if (GuardSymbols(g).size() <= kMaxStateSpaceSymbols &&
+          GuardIsUnsatisfiable(g)) {
+        continue;
+      }
       unreachable_.insert(symbol);
       Report(Rule::kUnreachableEvent,
              StrCat("event '", ctx_->alphabet()->Name(symbol),

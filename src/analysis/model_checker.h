@@ -35,9 +35,6 @@ struct ModelCheckOptions {
   /// generated computation extends, are exhaustive only with it off (a
   /// reported finding is real either way).
   bool partial_order_reduction = true;
-  /// Cap on emitted counterexample diagnostics per rule and direction
-  /// (every reachable bad state is still *counted* in the stats).
-  size_t max_counterexamples = 4;
 };
 
 struct ModelCheckStats {

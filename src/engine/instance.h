@@ -26,9 +26,10 @@ struct InstanceScript {
   /// Caller correlation id, echoed in the result (e.g. a customer id).
   uint64_t tag = 0;
   std::vector<std::string> attempts;
-  /// Drive the instance to a maximal trace after the script (repeatedly
-  /// attempting complements of undecided symbols). Without it the instance
-  /// completes as soon as the scripted attempts have resolved.
+  /// Drive the instance to a maximal trace after the script (one closure
+  /// wave: attempting the complement of every undecided symbol). Without
+  /// it the instance completes as soon as the scripted attempts have
+  /// resolved.
   bool close = true;
 };
 
@@ -54,6 +55,11 @@ struct InstanceResult {
   /// unparseable recovery log, ...). Failed instances count as completed
   /// but never as consistent.
   std::string error;
+  /// Empty unless the instance ended short. A closed or recovered instance
+  /// that ends non-maximal lists its undecided symbols and, per parked
+  /// attempt, what it still waits for (DiagnoseParked); a recovery whose
+  /// log ended in a torn record says that the record was dropped.
+  std::string diagnosis;
 };
 
 /// A command in a shard's MPSC mailbox.

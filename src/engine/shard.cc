@@ -6,6 +6,7 @@
 #include "engine/engine.h"
 #include "runtime/checkpoint.h"
 #include "runtime/event_log.h"
+#include "sched/diagnostics.h"
 
 namespace cdes::engine {
 namespace {
@@ -13,10 +14,6 @@ namespace {
 /// Run-queue steps one instance may execute per cooperative turn before
 /// yielding to the next resident instance.
 constexpr size_t kStepBatch = 64;
-
-/// Closure waves before giving up on maximality (closure can need several
-/// waves when complements park against in-flight announcements).
-constexpr size_t kMaxCloseRounds = 16;
 
 }  // namespace
 
@@ -188,7 +185,13 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
     // (or a checkpoint section torn at EOF, which its covered records
     // replace).
     r->phase = Resident::Phase::kClosing;
-    auto log = EventLog::LoadTolerant(*ctx_->alphabet(), cmd.log_text);
+    bool dropped_torn_tail = false;
+    auto log = EventLog::LoadTolerant(*ctx_->alphabet(), cmd.log_text,
+                                      &dropped_torn_tail);
+    if (dropped_torn_tail) {
+      r->result.diagnosis =
+          "recovery log ended in a torn record, which was dropped\n";
+    }
     if (!log.ok()) {
       r->result.error = StrCat("recovery log unreadable: ",
                                log.status().ToString());
@@ -262,14 +265,17 @@ bool Shard::StepInstance(Resident& r) {
       return false;
     }
     case Resident::Phase::kClosing: {
-      if (r.sched->Undecided().empty() ||
-          ++r.close_rounds > kMaxCloseRounds) {
+      if (r.sched->Undecided().empty()) {
         r.phase = Resident::Phase::kDone;
         return true;
       }
+      // One wave: once it settles the instance is maximal or no further
+      // wave would make it so (GuardScheduler::Close).
       r.sched->Close();
+      r.phase = Resident::Phase::kClosed;
       return false;
     }
+    case Resident::Phase::kClosed:
     case Resident::Phase::kDone:
       return true;
   }
@@ -339,6 +345,17 @@ void Shard::Finish(Resident& r) {
     // one only has to keep every residual satisfiable.
     r.result.consistent = r.sched->HistoryConsistent(r.result.maximal);
     r.result.history = TraceToString(r.sched->history(), *ctx_->alphabet());
+    if (!r.result.maximal && r.phase == Resident::Phase::kClosed) {
+      std::vector<std::string> undecided;
+      for (SymbolId s : r.sched->Undecided()) {
+        undecided.push_back(ctx_->alphabet()->Name(s));
+      }
+      r.result.diagnosis +=
+          StrCat("not maximal after closure; undecided {",
+                 StrJoin(undecided, ", "), "}\n",
+                 DiagnosisToString(DiagnoseParked(ctx_.get(), r.sched.get()),
+                                   *ctx_->alphabet()));
+    }
     if (r.log != nullptr) {
       r.result.log_text = r.log->Serialize(*ctx_->alphabet());
     }

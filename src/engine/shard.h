@@ -30,7 +30,10 @@ struct EngineOptions;
 /// EngineOptions::max_resident_per_shard worlds live at once). An instance
 /// world is a Simulator (FIFO run queue and stamp clock), an optional
 /// EventLog and a co-located GuardScheduler that owns only the instance's
-/// actors, history and stamp sequence.
+/// actors, history and stamp sequence. At each quiescent turn an instance
+/// takes its next scripted attempt; after the script, a closing instance
+/// runs one closure wave (GuardScheduler::Close) and finishes when it
+/// settles, maximal or with a diagnosis of what stayed undecided.
 ///
 /// Thread-confinement is the shard's whole concurrency story: the
 /// WorkflowContext (arenas, alphabet), the compiled guard table, every
@@ -94,8 +97,12 @@ class Shard {
     uint64_t submitted_at_us = 0;
     InstanceScript script;
     size_t pos = 0;
-    enum class Phase { kScript, kClosing, kDone } phase = Phase::kScript;
-    size_t close_rounds = 0;
+    /// kScript: attempting the script; kClosing: the closure wave is due
+    /// at the next quiescent turn (recovered instances start here);
+    /// kClosed: the wave is running, the instance finishes once it
+    /// settles; kDone: finished.
+    enum class Phase { kScript, kClosing, kClosed, kDone } phase =
+        Phase::kScript;
     /// Log records already pushed to the WAL buffer (index into
     /// log->records(); resets to 0 when a checkpoint clears the suffix).
     size_t wal_seen = 0;
@@ -115,7 +122,8 @@ class Shard {
   std::unique_ptr<Resident> AdmitInstance(EngineCommand cmd);
   /// One cooperative turn; returns true when the instance is finished.
   bool StepInstance(Resident& r);
-  /// Seals the result and reports it to the InstanceManager.
+  /// Seals the result (with InstanceResult::diagnosis when a closed
+  /// instance ends non-maximal) and reports it to the InstanceManager.
   void Finish(Resident& r);
   /// Pushes new log records to the WAL buffer; flushes on the group-commit
   /// threshold.

@@ -75,7 +75,7 @@ CompiledWorkflow CompileWorkflow(WorkflowContext* ctx,
         std::set<SymbolId> dep_symbols = MentionedSymbols(dep.expr);
         if (!dep_symbols.count(s)) continue;
         bool simplify = options.simplify &&
-                        dep_symbols.size() <= options.max_simplify_symbols;
+                        dep_symbols.size() <= kMaxStateSpaceSymbols;
         obs::GuardProfiler::Site* site = nullptr;
         bool sampled = false;
         uint64_t t0 = 0, steps0 = 0;

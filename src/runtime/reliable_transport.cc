@@ -5,6 +5,12 @@
 #include "common/strings.h"
 
 namespace cdes {
+namespace {
+
+/// Wire size charged for an ack frame.
+constexpr size_t kAckBytes = 16;
+
+}  // namespace
 
 ReliableTransport::ReliableTransport(Network* network,
                                      const ReliableTransportOptions& options)
@@ -108,8 +114,7 @@ void ReliableTransport::OnData(const MessageId& id) {
       if (it->second.deliver) it->second.deliver();
     }
   }
-  network_->Send(id.dst, id.src, options_.ack_bytes,
-                 [this, id] { OnAck(id); });
+  network_->Send(id.dst, id.src, kAckBytes, [this, id] { OnAck(id); });
   acks_->Increment();
 }
 

@@ -42,8 +42,6 @@ struct ReliableTransportOptions {
   double backoff = 2.0;
   /// Backoff ceiling. 0 ⇒ 64 × the initial timeout.
   SimTime max_timeout = 0;
-  /// Wire size charged for an ack frame.
-  size_t ack_bytes = 16;
   /// Give up after this many retransmissions of one frame (the payload is
   /// dropped and counted in "net.rel.abandoned"). 0 ⇒ retry forever —
   /// exactly-once delivery provided every partition eventually heals and

@@ -163,10 +163,22 @@ class GuardScheduler : public Scheduler, public ActorHost {
   std::vector<SymbolId> symbols() const;
 
   /// Drives the computation toward a maximal trace (the universe U_T over
-  /// which guards are interpreted): attempts the complement of every still
-  /// undecided symbol, in symbol order. Complements whose guard is not yet
-  /// establishable park and resolve as other closures land. Call
-  /// Simulator::Run afterwards; repeat until Undecided() is empty.
+  /// which guards are interpreted) in one wave: attempts the complement of
+  /// every still undecided symbol once, in symbol order. Complements whose
+  /// guard is not yet establishable park and resolve as other closures
+  /// land. Call Simulator::Run afterwards; once the run queue drains, the
+  /// computation is maximal, or Undecided() names what stays open and
+  /// DiagnoseParked why. A second wave would decide nothing: at quiescence
+  /// nothing is in flight, an actor's state changes only when it receives a
+  /// message, which already re-evaluates its parked attempts, and a
+  /// repeated complement meets the same reduced guard, so it parks again
+  /// (its promise requests and triggers already sent) or is rejected again.
+  /// One exception is known, found over a jittered Network (co-located
+  /// worlds have shown none): an actor that holds conditional promises for
+  /// both polarities of a symbol can reject a parked complement on a guard
+  /// those promises reduce to 0 and that a later announcement lifts, and
+  /// nothing attempts it again (see
+  /// ClosureWaveTest.ConflictingPromisesLeaveWorkForASecondWave).
   void Close();
 
   /// Symbols no event (of either polarity) has decided yet.

@@ -37,6 +37,13 @@ struct GuardPoint {
 /// their truth values on these points. Size: 2^k · k! · (k+1).
 std::vector<GuardPoint> GuardStateSpace(const std::set<SymbolId>& symbols);
 
+/// Most symbols a guard (or dependency) may mention for the exact checks
+/// that enumerate its GuardStateSpace: compile-time canonicalization
+/// (SimplifyGuard), the analyzer's ≡⊤ / ≡0 checks (CL002–CL004) and the
+/// checker's CL021 filter. 6 symbols are 2^6·6!·7 = 322,560 points; beyond
+/// that only the cheap guard-constructor rules apply.
+inline constexpr size_t kMaxStateSpaceSymbols = 6;
+
 /// Truth values of `g` over `space`.
 std::vector<bool> TruthVector(const Guard* g,
                               const std::vector<GuardPoint>& space);

@@ -571,10 +571,8 @@ struct LoggedWorld {
   }
 
   void CloseToMaximal() {
-    for (int round = 0; round < 8 && !sched->Undecided().empty(); ++round) {
-      sched->Close();
-      sim.Run();
-    }
+    sched->Close();
+    sim.Run();
   }
 
   std::string History() {

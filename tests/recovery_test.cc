@@ -313,11 +313,8 @@ TEST(RecoveryTest, RandomCrashPointsSweep) {
       EXPECT_EQ(w.AttemptAndRun(script[i]), Decision::kAccepted)
           << "crash point " << crash_after << " step " << i;
     }
-    for (int round = 0; round < 5 && !w.sched->Undecided().empty();
-         ++round) {
-      w.sched->Close();
-      w.sim.Run();
-    }
+    w.sched->Close();
+    w.sim.Run();
     EXPECT_TRUE(w.sched->Undecided().empty()) << "crash " << crash_after;
     EXPECT_TRUE(w.sched->HistoryConsistent(true)) << "crash " << crash_after;
   }
@@ -329,12 +326,8 @@ TEST(ClosureTest, CloseFromScratchIsConsistent) {
   LoggedWorld w(nullptr);
   w.sched->Close();
   w.sim.Run();
-  // Closure may need multiple waves (a complement can park while another
-  // complement's announcement is in flight).
-  for (int i = 0; i < 5 && !w.sched->Undecided().empty(); ++i) {
-    w.sched->Close();
-    w.sim.Run();
-  }
+  // One wave suffices: a complement that parks while another complement's
+  // announcement is in flight resolves when that announcement lands.
   EXPECT_TRUE(w.sched->Undecided().empty());
   EXPECT_TRUE(w.sched->HistoryConsistent(true));
 }

@@ -336,10 +336,8 @@ workflow w {
       sched->Attempt(w.Lit(name), {});
       sim->Run();
     }
-    for (int round = 0; round < 16 && !sched->Undecided().empty(); ++round) {
-      sched->Close();
-      sim->Run();
-    }
+    sched->Close();
+    sim->Run();
     EXPECT_TRUE(sched->Undecided().empty());
     EXPECT_TRUE(sched->HistoryConsistent(true));
     EXPECT_EQ(TraceToString(sched->history(), *w.ctx.alphabet()),

@@ -206,8 +206,9 @@ NetworkOptions JitteryNetwork(uint64_t seed) {
 }
 
 // Attempts `plan` one literal at a time, then closes toward a maximal
-// trace, running the simulator to quiescence after each step and calling
-// `at_quiescence` there. Stops early when `at_quiescence` returns false.
+// trace in one wave, running the simulator to quiescence after each step
+// and calling `at_quiescence` there. Stops early when `at_quiescence`
+// returns false.
 template <typename Fn>
 void DrivePlan(WorkflowContext* ctx, GuardScheduler* sched, Simulator* sim,
                const std::vector<std::string>& plan, Fn&& at_quiescence) {
@@ -218,11 +219,9 @@ void DrivePlan(WorkflowContext* ctx, GuardScheduler* sched, Simulator* sim,
     sim->Run();
     if (!at_quiescence()) return;
   }
-  for (int round = 0; round < 8 && !sched->Undecided().empty(); ++round) {
-    sched->Close();
-    sim->Run();
-    if (!at_quiescence()) return;
-  }
+  sched->Close();
+  sim->Run();
+  at_quiescence();
 }
 
 // The actors' memoized prefix-fold chains against the reference fold. At
