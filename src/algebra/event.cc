@@ -26,6 +26,12 @@ std::string Alphabet::LiteralName(EventLiteral lit) const {
   return Name(lit.symbol());
 }
 
+void Alphabet::AppendLiteralName(EventLiteral lit, std::string* out) const {
+  CDES_CHECK(lit.valid());
+  if (lit.complemented()) out->push_back('~');
+  out->append(Name(lit.symbol()));
+}
+
 EventLiteral Alphabet::InternLiteral(std::string_view text) {
   bool complemented = !text.empty() && text.front() == '~';
   if (complemented) text.remove_prefix(1);

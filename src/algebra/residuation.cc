@@ -149,6 +149,17 @@ const Expr* Residuator::ResiduateTrace(const Expr* e, const Trace& u) {
   return cur;
 }
 
+const Expr* Residuator::ResiduateTrace(const Expr* e, const Trace& u,
+                                       const std::vector<bool>& mentioned) {
+  const Expr* cur = NormalForm(e);
+  for (EventLiteral l : u) {
+    if (l.symbol() < mentioned.size() && mentioned[l.symbol()]) {
+      cur = ResiduateNormal(cur, l);
+    }
+  }
+  return cur;
+}
+
 std::vector<bool> ResiduateModelTheoretic(const Expr* e, EventLiteral x,
                                           const std::vector<Trace>& universe) {
   std::vector<bool> out(universe.size(), true);

@@ -62,6 +62,12 @@ class Residuator {
   /// Residuates by every event of `u` in order: ((E/u1)/u2)/.../un.
   const Expr* ResiduateTrace(const Expr* e, const Trace& u);
 
+  /// ResiduateTrace(e, u) for a `mentioned` mask (indexed by SymbolId) that
+  /// holds every symbol `e` mentions: a step by any other literal is rule
+  /// 6, the identity on the interned node, so it is skipped.
+  const Expr* ResiduateTrace(const Expr* e, const Trace& u,
+                             const std::vector<bool>& mentioned);
+
   ExprArena* arena() const { return arena_; }
 
  private:

@@ -68,12 +68,19 @@ bool IsMaximalTrace(const Trace& u, size_t symbol_count) {
 }
 
 std::string TraceToString(const Trace& u, const Alphabet& alphabet) {
-  std::string out = "<";
-  for (size_t i = 0; i < u.size(); ++i) {
-    if (i > 0) out += " ";
-    out += alphabet.LiteralName(u[i]);
+  // "<", the names with their '~' marks and separating spaces, ">".
+  size_t size = u.empty() ? 2 : u.size() + 1;
+  for (EventLiteral l : u) {
+    size += alphabet.Name(l.symbol()).size() + (l.complemented() ? 1 : 0);
   }
-  out += ">";
+  std::string out;
+  out.reserve(size);
+  out.push_back('<');
+  for (size_t i = 0; i < u.size(); ++i) {
+    if (i > 0) out.push_back(' ');
+    alphabet.AppendLiteralName(u[i], &out);
+  }
+  out.push_back('>');
   return out;
 }
 

@@ -5,20 +5,6 @@
 
 namespace cdes {
 
-std::vector<std::string> StrSplit(std::string_view text, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = text.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      return out;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 std::string_view StripWhitespace(std::string_view text) {
   size_t begin = 0;
   while (begin < text.size() &&

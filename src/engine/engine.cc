@@ -210,31 +210,33 @@ Status Engine::Recover(const std::vector<std::string>& logs) {
   // naming the same instance would otherwise double-submit it onto one
   // shard (two worlds racing under one id). Deterministic — the check
   // depends only on the headers, and fires before any side effect.
-  std::set<uint64_t> ids;
+  std::vector<uint64_t> ids;
+  ids.reserve(logs.size());
+  std::set<uint64_t> seen;
   for (const std::string& text : logs) {
     Result<uint64_t> id = EventLog::PeekInstance(text);
     if (!id.ok()) return id.status();
-    if (!ids.insert(id.value()).second) {
+    if (!seen.insert(id.value()).second) {
       return Status::InvalidArgument(StrCat(
           "duplicate instance id ", id.value(), " in recovery logs"));
     }
+    ids.push_back(id.value());
   }
-  for (const std::string& text : logs) {
+  for (size_t i = 0; i < logs.size(); ++i) {
     // Route by the header's instance id: id % shards is stable across
     // restarts, so the log lands on the shard index that owned it.
-    Result<uint64_t> id = EventLog::PeekInstance(text);
-    if (!id.ok()) return id.status();
+    uint64_t id = ids[i];
     uint64_t entered_at_us = NowUs();
-    Status admitted = manager_->AdmitRecovered(id.value());
+    Status admitted = manager_->AdmitRecovered(id);
     if (!admitted.ok()) return admitted;
     EngineCommand cmd;
     cmd.kind = EngineCommand::Kind::kRecover;
-    cmd.id = id.value();
-    cmd.log_text = text;
+    cmd.id = id;
+    cmd.log_text = logs[i];
     cmd.submitted_at_us = NowUs();
-    manager_->RecordSubmit(id.value(), cmd.submitted_at_us,
+    manager_->RecordSubmit(id, cmd.submitted_at_us,
                            cmd.submitted_at_us - entered_at_us);
-    shards_[manager_->ShardFor(id.value())]->Push(std::move(cmd));
+    shards_[manager_->ShardFor(id)]->Push(std::move(cmd));
   }
   return Status::OK();
 }

@@ -56,9 +56,15 @@ CompiledWorkflow CompileWorkflow(WorkflowContext* ctx,
   // everywhere.
   std::vector<bool> dep_impossible(out.dependencies_.size(), false);
   for (size_t di = 0; di < out.dependencies_.size(); ++di) {
-    if (!IsSatisfiable(ctx->residuator(), out.dependencies_[di].expr)) {
+    const Expr* expr = out.dependencies_[di].expr;
+    if (!IsSatisfiable(ctx->residuator(), expr)) {
       dep_impossible[di] = true;
       out.impossible_ = true;
+    }
+    std::vector<bool>& mask = out.dependency_symbols_.emplace_back();
+    for (SymbolId s : MentionedSymbols(expr)) {
+      if (s >= mask.size()) mask.resize(s + 1, false);
+      mask[s] = true;
     }
   }
   for (SymbolId s : out.symbols_) {

@@ -241,35 +241,6 @@ std::string SerializeCheckpoint(const CheckpointState& state,
 
 namespace {
 
-/// Pulls the next '\n'-terminated line out of `*rest` without copying.
-/// Returns false once the payload is exhausted. An empty payload still
-/// yields one (empty) line, matching the old split semantics.
-class LineCursor {
- public:
-  explicit LineCursor(std::string_view payload) : rest_(payload) {}
-
-  bool Next(std::string_view* line) {
-    if (done_) return false;
-    size_t nl = rest_.find('\n');
-    if (nl == std::string_view::npos) {
-      *line = rest_;
-      done_ = true;
-    } else {
-      *line = rest_.substr(0, nl);
-      rest_.remove_prefix(nl + 1);
-    }
-    ++lineno_;
-    return true;
-  }
-
-  size_t lineno() const { return lineno_; }
-
- private:
-  std::string_view rest_;
-  size_t lineno_ = 0;
-  bool done_ = false;
-};
-
 /// Pulls the next space-delimited field; false when the line is exhausted.
 bool NextField(std::string_view* rest, std::string_view* field) {
   if (rest->empty()) return false;
@@ -303,7 +274,7 @@ Result<CheckpointState> ParseCheckpoint(GuardArena* guards,
                                         const Alphabet& alphabet,
                                         std::string_view payload) {
   CheckpointState state;
-  LineCursor cursor(payload);
+  SplitCursor cursor(payload, '\n');
   std::string_view line;
   // The meta line must come first: the symbol count + fingerprint it
   // carries gate every id decoded below.
@@ -336,7 +307,7 @@ Result<CheckpointState> ParseCheckpoint(GuardArena* guards,
     std::string_view tag;
     if (!NextField(&line, &tag) || tag.empty()) {
       return Status::InvalidArgument(
-          StrCat("empty checkpoint payload line ", cursor.lineno()));
+          StrCat("empty checkpoint payload line ", cursor.count()));
     }
     if (tag == "meta") {
       return Status::InvalidArgument("duplicate checkpoint meta line");
@@ -395,9 +366,9 @@ Result<CheckpointState> ParseCheckpoint(GuardArena* guards,
             "'"));
       }
       auto positive = GuardFromSexpr(guards, alphabet, pos_line.substr(4));
-      if (!positive.ok()) return AtLine(cursor.lineno() - 1, positive.status());
+      if (!positive.ok()) return AtLine(cursor.count() - 1, positive.status());
       auto negative = GuardFromSexpr(guards, alphabet, neg_line.substr(4));
-      if (!negative.ok()) return AtLine(cursor.lineno(), negative.status());
+      if (!negative.ok()) return AtLine(cursor.count(), negative.status());
       actor.positive = positive.value();
       actor.negative = negative.value();
       state.actors.push_back(actor);

@@ -292,7 +292,27 @@ void EventActor::Attempt(EventLiteral literal, AttemptCallback done) {
     return;
   }
   if (done) done(Decision::kParked);
-  parked_.push_back(Parked{literal, std::move(done)});
+  // One entry per literal: an attempt of a literal already parked (a
+  // closure wave re-attempting a scripted complement) waits on the same
+  // entry, its callback chained behind the first, so each attempt still
+  // gets exactly one final decision.
+  auto same = std::find_if(parked_.begin(), parked_.end(),
+                           [literal](const Parked& p) {
+                             return p.literal == literal;
+                           });
+  if (same == parked_.end()) {
+    parked_.push_back(Parked{literal, std::move(done)});
+  } else if (done) {
+    if (!same->done) {
+      same->done = std::move(done);
+    } else {
+      same->done = [first = std::move(same->done),
+                    second = std::move(done)](Decision d) {
+        first(d);
+        second(d);
+      };
+    }
+  }
   if (obs_ != nullptr) {
     if (obs_->parks != nullptr) {
       obs_->parks->Increment();

@@ -1,5 +1,6 @@
 #include "runtime/event_log.h"
 
+#include <charconv>
 #include <utility>
 
 #include "common/strings.h"
@@ -7,13 +8,19 @@
 namespace cdes {
 namespace {
 
-constexpr char kHeaderV2[] = "cdeslog v2";
 constexpr char kHeaderV3[] = "cdeslog v3";
 constexpr char kTrailerPrefix[] = "checksum ";
 constexpr char kSectionPrefix[] = "ckpt ";
+/// Decimal digits of the widest uint64_t.
+constexpr size_t kMaxU64Digits = 20;
+/// The trailer line at its widest.
+constexpr size_t kTrailerBound = sizeof(kTrailerPrefix) - 1 + kMaxU64Digits + 1;
 
-uint64_t Fnv1a(std::string_view text) {
-  uint64_t h = 0xCBF29CE484222325ULL;
+constexpr uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ULL;
+
+/// FNV-1a of `text`, continuing from `h`: hashing a text piece by piece,
+/// each piece from the previous result, equals hashing it whole.
+uint64_t Fnv1a(std::string_view text, uint64_t h = kFnvOffsetBasis) {
   for (char c : text) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001B3ULL;
@@ -21,18 +28,44 @@ uint64_t Fnv1a(std::string_view text) {
   return h;
 }
 
-/// The checksummed payload of one record line.
-std::string RecordPayload(uint64_t seq, uint64_t time,
-                          const std::string& literal) {
-  return StrCat(seq, " ", time, " ", literal);
+size_t DecimalWidth(uint64_t value) {
+  size_t n = 1;
+  for (; value >= 10; value /= 10) ++n;
+  return n;
 }
 
-/// The checksummed content of a checkpoint section: its own framing fields
-/// plus the payload, so neither can be tampered with independently.
-std::string SectionChecksumInput(const EventLog::CheckpointSection& section,
-                                 uint64_t nlines) {
-  return StrCat(section.covered, " ", section.last_stamp.time, " ",
-                section.last_stamp.seq, " ", nlines, "\n", section.payload);
+/// Writes `value` in decimal and then `sep` to `dst`, which has room for
+/// kMaxU64Digits + 1 bytes; returns one past the end.
+char* PutField(char* dst, uint64_t value, char sep) {
+  char* end = std::to_chars(dst, dst + kMaxU64Digits, value).ptr;
+  *end = sep;
+  return end + 1;
+}
+
+/// The checksum of a record line: FNV-1a of its payload `<seq> <time>
+/// <literal>`, with the stamp rendered canonically, so a parsed `007`
+/// checks as `7`.
+uint64_t RecordChecksum(uint64_t seq, uint64_t time,
+                        std::string_view literal) {
+  char stamp[2 * (kMaxU64Digits + 1)];
+  char* end = PutField(PutField(stamp, seq, ' '), time, ' ');
+  size_t stamp_size = static_cast<size_t>(end - stamp);
+  return Fnv1a(literal, Fnv1a(std::string_view(stamp, stamp_size)));
+}
+
+/// The checksum of a checkpoint section: FNV-1a of its own framing fields
+/// plus the payload, `<covered> <time> <seq> <nlines>\n<payload>`, so
+/// neither can be tampered with independently.
+uint64_t SectionChecksum(const EventLog::CheckpointSection& section,
+                         uint64_t nlines) {
+  char framing[4 * (kMaxU64Digits + 1)];
+  char* end = PutField(framing, section.covered, ' ');
+  end = PutField(end, section.last_stamp.time, ' ');
+  end = PutField(end, section.last_stamp.seq, ' ');
+  end = PutField(end, nlines, '\n');
+  size_t framing_size = static_cast<size_t>(end - framing);
+  return Fnv1a(section.payload,
+               Fnv1a(std::string_view(framing, framing_size)));
 }
 
 uint64_t PayloadLineCount(const std::string& payload) {
@@ -45,6 +78,88 @@ uint64_t PayloadLineCount(const std::string& payload) {
 }
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// ---- Rendering: every builder appends to the caller's buffer, and each
+// ---- *Bound is an upper bound on what it appends (exact but for
+// ---- checksums, counted at full width), so a buffer is sized once.
+
+size_t HeaderBound(uint64_t instance) {
+  return sizeof(kHeaderV3) + DecimalWidth(instance) + 1;
+}
+
+void AppendHeader(uint64_t instance, std::string* out) {
+  StrAppend(out, kHeaderV3, " ", instance, "\n");
+}
+
+size_t RecordLineBound(const EventLog::Record& record,
+                       const Alphabet& alphabet) {
+  return DecimalWidth(record.stamp.seq) + DecimalWidth(record.stamp.time) +
+         (record.literal.complemented() ? 1 : 0) +
+         alphabet.Name(record.literal.symbol()).size() + kMaxU64Digits + 4;
+}
+
+void AppendRecordLine(const EventLog::Record& record, const Alphabet& alphabet,
+                      std::string* out) {
+  StrAppend(out, record.stamp.seq, " ", record.stamp.time, " ");
+  size_t literal_begin = out->size();
+  alphabet.AppendLiteralName(record.literal, out);
+  uint64_t crc =
+      RecordChecksum(record.stamp.seq, record.stamp.time,
+                     std::string_view(*out).substr(literal_begin));
+  StrAppend(out, " ", crc, "\n");
+}
+
+size_t SectionBound(const EventLog::CheckpointSection& section) {
+  return sizeof(kSectionPrefix) - 1 + 5 * (kMaxU64Digits + 1) +
+         section.payload.size() + 1;
+}
+
+void AppendSection(const EventLog::CheckpointSection& section,
+                   std::string* out) {
+  uint64_t nlines = PayloadLineCount(section.payload);
+  StrAppend(out, kSectionPrefix, section.covered, " ",
+            section.last_stamp.time, " ", section.last_stamp.seq, " ", nlines,
+            " ", SectionChecksum(section, nlines), "\n");
+  if (nlines > 0) StrAppend(out, section.payload, "\n");
+}
+
+size_t OpenImageBound(const EventLog& log, const Alphabet& alphabet) {
+  size_t bound = HeaderBound(log.instance());
+  if (log.checkpoint() != nullptr) bound += SectionBound(*log.checkpoint());
+  for (const EventLog::Record& r : log.records()) {
+    bound += RecordLineBound(r, alphabet);
+  }
+  return bound;
+}
+
+void AppendOpenImage(const EventLog& log, const Alphabet& alphabet,
+                     std::string* out) {
+  AppendHeader(log.instance(), out);
+  if (log.checkpoint() != nullptr) AppendSection(*log.checkpoint(), out);
+  for (const EventLog::Record& r : log.records()) {
+    AppendRecordLine(r, alphabet, out);
+  }
+}
+
+// ---- Parsing: lines and fields are views into the text.
+
+/// Parses a header line, `cdeslog v2|v3 <instance>`.
+bool ParseHeader(std::string_view line, uint64_t* instance) {
+  SplitCursor fields(line, ' ');
+  std::string_view magic, version, id, extra;
+  return fields.Next(&magic) && magic == "cdeslog" && fields.Next(&version) &&
+         (version == "v2" || version == "v3") && fields.Next(&id) &&
+         !fields.Next(&extra) && ParseU64(id, instance);
+}
+
+/// Whether `line`, which starts with the trailer prefix, is the trailer for
+/// a body whose checksum is `crc` (rendered canonically).
+bool IsTrailerFor(std::string_view line, uint64_t crc) {
+  char digits[kMaxU64Digits];
+  char* end = std::to_chars(digits, digits + kMaxU64Digits, crc).ptr;
+  return line.substr(sizeof(kTrailerPrefix) - 1) ==
+         std::string_view(digits, static_cast<size_t>(end - digits));
+}
 
 }  // namespace
 
@@ -73,36 +188,41 @@ OccurrenceStamp EventLog::last_stamp() const {
 }
 
 std::string EventLog::HeaderLine(uint64_t instance) {
-  return StrCat(kHeaderV3, " ", instance, "\n");
+  std::string line;
+  line.reserve(HeaderBound(instance));
+  AppendHeader(instance, &line);
+  return line;
 }
 
 std::string EventLog::RecordLine(const Record& record,
                                  const Alphabet& alphabet) {
-  std::string payload = RecordPayload(record.stamp.seq, record.stamp.time,
-                                      alphabet.LiteralName(record.literal));
-  return StrCat(payload, " ", Fnv1a(payload), "\n");
+  std::string line;
+  line.reserve(RecordLineBound(record, alphabet));
+  AppendRecordLine(record, alphabet, &line);
+  return line;
 }
 
 std::string EventLog::SectionText(const CheckpointSection& section) {
-  uint64_t nlines = PayloadLineCount(section.payload);
-  std::string text =
-      StrCat(kSectionPrefix, section.covered, " ", section.last_stamp.time, " ",
-             section.last_stamp.seq, " ", nlines, " ",
-             Fnv1a(SectionChecksumInput(section, nlines)), "\n");
-  if (nlines > 0) text += StrCat(section.payload, "\n");
+  std::string text;
+  text.reserve(SectionBound(section));
+  AppendSection(section, &text);
   return text;
 }
 
 std::string EventLog::SerializeOpen(const Alphabet& alphabet) const {
-  std::string body = HeaderLine(instance_);
-  if (checkpoint_) body += SectionText(*checkpoint_);
-  for (const Record& r : records_) body += RecordLine(r, alphabet);
-  return body;
+  std::string image;
+  image.reserve(OpenImageBound(*this, alphabet));
+  AppendOpenImage(*this, alphabet, &image);
+  return image;
 }
 
 std::string EventLog::Serialize(const Alphabet& alphabet) const {
-  std::string body = SerializeOpen(alphabet);
-  return StrCat(body, kTrailerPrefix, Fnv1a(body), "\n");
+  std::string image;
+  image.reserve(OpenImageBound(*this, alphabet) + kTrailerBound);
+  AppendOpenImage(*this, alphabet, &image);
+  // The trailer checksums the body as it stands in the buffer.
+  StrAppend(&image, kTrailerPrefix, Fnv1a(image), "\n");
+  return image;
 }
 
 Result<EventLog> EventLog::Deserialize(const Alphabet& alphabet,
@@ -118,12 +238,8 @@ Result<uint64_t> EventLog::PeekInstance(std::string_view text) {
   if (eol == std::string_view::npos) {
     return Status::InvalidArgument("event log header torn (no newline)");
   }
-  std::vector<std::string> fields = StrSplit(text.substr(0, eol), ' ');
   uint64_t instance = 0;
-  if (fields.size() != 3 ||
-      (StrCat(fields[0], " ", fields[1]) != kHeaderV2 &&
-       StrCat(fields[0], " ", fields[1]) != kHeaderV3) ||
-      !ParseU64(fields[2], &instance)) {
+  if (!ParseHeader(text.substr(0, eol), &instance)) {
     return Status::InvalidArgument("not a cdes event log");
   }
   return instance;
@@ -139,27 +255,29 @@ Result<EventLog> EventLog::Parse(const Alphabet& alphabet,
                                  std::string_view text, bool tolerant,
                                  bool* dropped_torn_tail) {
   if (dropped_torn_tail != nullptr) *dropped_torn_tail = false;
-  std::vector<std::string> lines = StrSplit(text, '\n');
-  // A complete file ends in '\n', leaving one empty trailing split. A
-  // missing final newline is itself evidence of a torn tail.
-  bool ends_with_newline = !lines.empty() && lines.back().empty();
-  if (ends_with_newline) lines.pop_back();
-  if (lines.empty()) return Status::InvalidArgument("not a cdes event log");
+  if (text.empty()) return Status::InvalidArgument("not a cdes event log");
+  // A complete file ends in '\n'. A missing final newline is itself
+  // evidence of a torn tail.
+  const bool ends_with_newline = text.back() == '\n';
+  // The file's lines, '\n'-separated, without the last one's terminator.
+  const std::string_view lines =
+      ends_with_newline ? text.substr(0, text.size() - 1) : text;
+  const size_t header_end = lines.find('\n');
   // A lone unterminated line may be a header whose instance digits were cut
   // mid-write — "cdeslog v3 12" torn to "cdeslog v3 1" parses fine but
   // names the wrong instance. Only a newline proves the header complete.
-  if (lines.size() == 1 && !ends_with_newline) {
+  if (header_end == std::string_view::npos && !ends_with_newline) {
     return Status::InvalidArgument("event log header torn (no newline)");
   }
-
-  std::vector<std::string> header = StrSplit(lines.front(), ' ');
   uint64_t instance = 0;
-  if (header.size() != 3 ||
-      (StrCat(header[0], " ", header[1]) != kHeaderV2 &&
-       StrCat(header[0], " ", header[1]) != kHeaderV3) ||
-      !ParseU64(header[2], &instance)) {
+  if (!ParseHeader(lines.substr(0, header_end), &instance)) {
     return Status::InvalidArgument("not a cdes event log");
   }
+  // The lines after the header, as one span. `has_body` tells an empty
+  // span (one empty line) from no lines at all.
+  bool has_body = header_end != std::string_view::npos;
+  std::string_view body;
+  if (has_body) body = lines.substr(header_end + 1);
 
   // Strip the trailer when present and intact. A crashed writer either
   // never started it (absent) or was killed mid-line (a `checksum ` line
@@ -170,17 +288,21 @@ Result<EventLog> EventLog::Parse(const Alphabet& alphabet,
   // dropped as a torn record.
   bool has_trailer = false;
   bool torn_trailer = false;
-  if (lines.size() >= 2 && lines.back().rfind(kTrailerPrefix, 0) == 0) {
-    std::string body;
-    for (size_t i = 0; i + 1 < lines.size(); ++i) body += lines[i] + "\n";
-    if (lines.back() == StrCat(kTrailerPrefix, Fnv1a(body))) {
+  const size_t last_begin = has_body ? lines.rfind('\n') + 1 : 0;
+  if (has_body && StartsWith(lines.substr(last_begin), kTrailerPrefix)) {
+    // The trailer covers every byte before it, hashed in place.
+    if (IsTrailerFor(lines.substr(last_begin),
+                     Fnv1a(text.substr(0, last_begin)))) {
       has_trailer = true;
     } else if (!tolerant) {
       return Status::InvalidArgument("event log checksum mismatch");
     } else {
       torn_trailer = true;
     }
-    lines.pop_back();
+    has_body = last_begin - 1 > header_end;
+    if (has_body) {
+      body = lines.substr(header_end + 1, last_begin - header_end - 2);
+    }
   } else if (!tolerant) {
     return Status::InvalidArgument("event log checksum trailer missing");
   }
@@ -191,68 +313,73 @@ Result<EventLog> EventLog::Parse(const Alphabet& alphabet,
   log.set_instance(instance);
   OccurrenceStamp prev_stamp;
   bool have_prev = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    bool final_line = i + 1 == lines.size();
-    if (lines[i].rfind(kSectionPrefix, 0) == 0) {
+  SplitCursor cursor(body, '\n');
+  std::string_view line;
+  while (has_body && cursor.Next(&line)) {
+    const size_t lineno = cursor.count() + 1;  // the header is line 1
+    const bool final_line = cursor.AtEnd();
+    if (StartsWith(line, kSectionPrefix)) {
       // Checkpoint section: `ckpt <covered> <time> <seq> <nlines> <crc>`
       // followed by <nlines> opaque payload lines.
-      std::vector<std::string> fields = StrSplit(lines[i], ' ');
+      SplitCursor fields(line, ' ');
+      std::string_view tag, covered, time, seq, count, checksum, extra;
       CheckpointSection section;
       uint64_t nlines = 0, crc = 0;
-      bool well_formed = fields.size() == 6 &&
-                         ParseU64(fields[1], &section.covered) &&
-                         ParseU64(fields[2], &section.last_stamp.time) &&
-                         ParseU64(fields[3], &section.last_stamp.seq) &&
-                         ParseU64(fields[4], &nlines) &&
-                         ParseU64(fields[5], &crc);
+      bool well_formed =
+          fields.Next(&tag) && fields.Next(&covered) && fields.Next(&time) &&
+          fields.Next(&seq) && fields.Next(&count) &&
+          fields.Next(&checksum) && !fields.Next(&extra) &&
+          ParseU64(covered, &section.covered) &&
+          ParseU64(time, &section.last_stamp.time) &&
+          ParseU64(seq, &section.last_stamp.seq) &&
+          ParseU64(count, &nlines) && ParseU64(checksum, &crc);
       if (!well_formed) {
         // The line starts with `ckpt ` but does not frame a section; only a
         // write torn at end-of-file excuses that, and the records parsed
         // above already carry everything a torn section would have covered.
         if (tail_open && final_line) break;
         return Status::InvalidArgument(
-            StrCat("malformed checkpoint section at line ", i + 1));
+            StrCat("malformed checkpoint section at line ", lineno));
       }
-      size_t payload_end = i + 1 + nlines;  // one past the last payload line
-      bool extends_to_eof = payload_end >= lines.size();
-      if (payload_end > lines.size()) {
+      // The payload is the next <nlines> lines, one span of the text.
+      const char* payload_begin = nullptr;
+      const char* payload_end = nullptr;
+      uint64_t taken = 0;
+      std::string_view payload_line;
+      while (taken < nlines && cursor.Next(&payload_line)) {
+        if (taken++ == 0) payload_begin = payload_line.data();
+        payload_end = payload_line.data() + payload_line.size();
+      }
+      if (taken < nlines) {
         // Fewer payload lines than the framing promises: torn at EOF.
         if (tail_open) break;
         return Status::InvalidArgument(
-            StrCat("truncated checkpoint section at line ", i + 1));
+            StrCat("truncated checkpoint section at line ", lineno));
       }
-      std::string payload;
-      for (size_t j = i + 1; j < payload_end; ++j) {
-        if (j > i + 1) payload += "\n";
-        payload += lines[j];
-      }
-      section.payload = std::move(payload);
-      if (crc != Fnv1a(SectionChecksumInput(section, nlines))) {
+      const bool extends_to_eof = cursor.AtEnd();
+      if (nlines > 0) section.payload.assign(payload_begin, payload_end);
+      if (crc != SectionChecksum(section, nlines)) {
         // A final payload line torn mid-write mimics a complete block with a
         // bad checksum; at EOF that is a crash shape, anywhere else it is
         // corruption.
         if (tail_open && extends_to_eof) break;
         return Status::InvalidArgument(
-            StrCat("checkpoint checksum mismatch at line ", i + 1));
+            StrCat("checkpoint checksum mismatch at line ", lineno));
       }
       // A checkpoint taken in this file covers exactly the records above
       // it. The exception is a checkpoint opening the file (no records, no
       // prior checkpoint): compaction physically discarded the prefix it
       // covers, so any coverage is legitimate there.
       bool opens_file = !log.checkpoint_ && log.records_.empty();
-      if (!opens_file &&
-          section.covered != (log.checkpoint_ ? log.checkpoint_->covered : 0) +
-                                 log.records_.size()) {
+      if (!opens_file && section.covered != log.total_records()) {
         return Status::InvalidArgument(
-            StrCat("checkpoint at line ", i + 1, " covers ", section.covered,
-                   " records but the log holds ",
-                   (log.checkpoint_ ? log.checkpoint_->covered : 0) +
-                       log.records_.size()));
+            StrCat("checkpoint at line ", lineno, " covers ", section.covered,
+                   " records but the log holds ", log.total_records()));
       }
       if (have_prev && section.covered > 0 &&
           section.last_stamp < prev_stamp) {
         return Status::InvalidArgument(
-            StrCat("checkpoint stamp decreases at line ", i + 1));
+            StrCat("checkpoint stamp decreases at line ", lineno));
       }
       if (section.covered > 0) {
         prev_stamp = section.last_stamp;
@@ -262,29 +389,30 @@ Result<EventLog> EventLog::Parse(const Alphabet& alphabet,
       // exactly as the compaction rewrite would have discarded them.
       log.checkpoint_ = std::move(section);
       log.records_.clear();
-      i = payload_end - 1;  // loop ++ lands on the line after the payload
       continue;
     }
-    std::vector<std::string> fields = StrSplit(lines[i], ' ');
+    SplitCursor fields(line, ' ');
+    std::string_view seq_field, time_field, literal_field, crc_field, extra;
     uint64_t seq = 0, time = 0, crc = 0;
-    bool well_formed = fields.size() == 4 && ParseU64(fields[0], &seq) &&
-                       ParseU64(fields[1], &time) && ParseU64(fields[3], &crc);
-    if (well_formed) {
-      well_formed = crc == Fnv1a(RecordPayload(seq, time, fields[2]));
-    }
+    bool well_formed =
+        fields.Next(&seq_field) && fields.Next(&time_field) &&
+        fields.Next(&literal_field) && fields.Next(&crc_field) &&
+        !fields.Next(&extra) && ParseU64(seq_field, &seq) &&
+        ParseU64(time_field, &time) && ParseU64(crc_field, &crc) &&
+        crc == RecordChecksum(seq, time, literal_field);
     if (!well_formed) {
       if (tail_open && final_line) {
         // Report a possibly-lost record only when the torn bytes could have
         // been one: record lines start with stamp digits, so a torn `ckpt`
         // or `checksum` line (or a stray fragment) is provably not a record.
-        if (dropped_torn_tail != nullptr && !lines[i].empty() &&
-            IsDigit(lines[i][0])) {
+        if (dropped_torn_tail != nullptr && !line.empty() &&
+            IsDigit(line[0])) {
           *dropped_torn_tail = true;
         }
         break;
       }
       return Status::InvalidArgument(
-          StrCat("malformed log record at line ", i + 1));
+          StrCat("malformed log record at line ", lineno));
     }
     Record record;
     record.stamp.seq = seq;
@@ -295,14 +423,14 @@ Result<EventLog> EventLog::Parse(const Alphabet& alphabet,
     // guards programmer error, not untrusted input.
     if (have_prev && record.stamp < prev_stamp) {
       return Status::InvalidArgument(
-          StrCat("log stamps decrease at line ", i + 1));
+          StrCat("log stamps decrease at line ", lineno));
     }
     prev_stamp = record.stamp;
     have_prev = true;
     // A checksum-valid record naming an unknown event is corruption (or a
     // foreign workflow's log), never a torn tail: stay strict even when
     // tolerant.
-    auto literal = alphabet.ParseLiteral(fields[2]);
+    auto literal = alphabet.ParseLiteral(literal_field);
     if (!literal.ok()) return literal.status();
     record.literal = literal.value();
     log.records_.push_back(record);

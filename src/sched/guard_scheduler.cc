@@ -282,9 +282,12 @@ std::vector<SymbolId> GuardScheduler::Undecided() const {
 
 bool GuardScheduler::HistoryConsistent(bool require_satisfaction) const {
   for (const CompiledWorkflowRef& compiled : installed_) {
-    for (const Dependency& dep : compiled->dependencies()) {
-      const Expr* residual =
-          ctx_->residuator()->ResiduateTrace(dep.expr, history_);
+    const std::vector<Dependency>& deps = compiled->dependencies();
+    for (size_t di = 0; di < deps.size(); ++di) {
+      // Only the history literals whose symbol the dependency mentions
+      // change its residual.
+      const Expr* residual = ctx_->residuator()->ResiduateTrace(
+          deps[di].expr, history_, compiled->DependencySymbols(di));
       if (require_satisfaction) {
         if (!residual->IsTop()) return false;
       } else if (residual->IsZero()) {

@@ -171,8 +171,9 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// DiagnoseParked why. A second wave would decide nothing: at quiescence
   /// nothing is in flight, an actor's state changes only when it receives a
   /// message, which already re-evaluates its parked attempts, and a
-  /// repeated complement meets the same reduced guard, so it parks again
-  /// (its promise requests and triggers already sent) or is rejected again.
+  /// repeated complement meets the same reduced guard, so it joins its
+  /// parked entry (its promise requests and triggers already sent) or is
+  /// rejected again.
   /// One exception is known, found over a jittered Network (co-located
   /// worlds have shown none): an actor that holds conditional promises for
   /// both polarities of a symbol can reject a parked complement on a guard

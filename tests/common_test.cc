@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -107,11 +111,163 @@ TEST(StringsTest, StrCat) {
   EXPECT_EQ(StrCat(), "");
 }
 
-TEST(StringsTest, StrSplit) {
-  EXPECT_EQ(StrSplit("a,b,c", ','),
-            (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(StrSplit("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(StrSplit("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
+// ---- StrCat / StrAppend / StrJoin against the stream they replaced: each
+// ---- argument kind src/ formats must render byte for byte as a
+// ---- default-flag std::ostringstream does.
+
+template <typename... Args>
+std::string StreamCat(const Args&... args) {
+  std::ostringstream out;
+  static_cast<void>((out << ... << args));
+  return out.str();
+}
+
+template <typename Container>
+std::string StreamJoin(const Container& parts, std::string_view sep) {
+  std::ostringstream out;
+  bool first = true;
+  for (const auto& p : parts) {
+    if (!first) out << sep;
+    first = false;
+    out << p;
+  }
+  return out.str();
+}
+
+/// Checks every value of `table` alone, between literals, appended, and
+/// the whole table joined.
+template <typename T>
+void ExpectRendersLikeStream(const std::vector<T>& table) {
+  for (const T& v : table) {
+    EXPECT_EQ(StrCat(v), StreamCat(v)) << StreamCat(v);
+    EXPECT_EQ(StrCat("<", v, "|", v, ">"), StreamCat("<", v, "|", v, ">"));
+    std::string appended = "prefix ";
+    StrAppend(&appended, v, ' ', v);
+    EXPECT_EQ(appended, StreamCat("prefix ", v, ' ', v));
+  }
+  EXPECT_EQ(StrJoin(table, ", "), StreamJoin(table, ", "));
+}
+
+template <typename T>
+void ExpectIntegerWidthRendersLikeStream() {
+  using Limits = std::numeric_limits<T>;
+  std::vector<T> table = {Limits::min(), Limits::max(), T(0), T(1), T(9),
+                          T(10), T(Limits::max() / 3), T(Limits::min() / 7)};
+  if constexpr (Limits::is_signed) {
+    table.push_back(T(-1));
+    table.push_back(T(-10));
+    table.push_back(T(Limits::min() + 1));
+  }
+  ExpectRendersLikeStream(table);
+}
+
+TEST(StrCatTest, EveryIntegerWidthMatchesStream) {
+  ExpectIntegerWidthRendersLikeStream<short>();
+  ExpectIntegerWidthRendersLikeStream<unsigned short>();
+  ExpectIntegerWidthRendersLikeStream<int>();
+  ExpectIntegerWidthRendersLikeStream<unsigned>();
+  ExpectIntegerWidthRendersLikeStream<long>();
+  ExpectIntegerWidthRendersLikeStream<unsigned long>();
+  ExpectIntegerWidthRendersLikeStream<long long>();
+  ExpectIntegerWidthRendersLikeStream<unsigned long long>();
+  ExpectIntegerWidthRendersLikeStream<int16_t>();
+  ExpectIntegerWidthRendersLikeStream<uint32_t>();
+  ExpectIntegerWidthRendersLikeStream<int64_t>();
+  ExpectIntegerWidthRendersLikeStream<uint64_t>();
+  ExpectIntegerWidthRendersLikeStream<size_t>();
+}
+
+TEST(StrCatTest, CharsAndBoolMatchStream) {
+  // Character types print the byte itself, NUL and high bytes included;
+  // int8_t and uint8_t are signed and unsigned char.
+  ExpectRendersLikeStream<char>({'a', ' ', '~', '\n', '\0', '\x7f'});
+  ExpectRendersLikeStream<signed char>(
+      {static_cast<signed char>('b'), static_cast<signed char>(-1),
+       std::numeric_limits<signed char>::min(), 0});
+  ExpectRendersLikeStream<unsigned char>({'A', 0, 200, 255});
+  ExpectRendersLikeStream<int8_t>({-5, 65});
+  ExpectRendersLikeStream<uint8_t>({66, 250});
+  ExpectRendersLikeStream<bool>({true, false});
+}
+
+TEST(StrCatTest, FloatingPointMatchesStream) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  ExpectRendersLikeStream<double>(
+      {0.1, 1e-05, 1e21, -0.0, 0.0, kInf, -kInf, kNan, -kNan, 4.5, 1.0 / 3,
+       123456.5, 1234567.0, 100000.0, 1e6, 0.0001, 5e-324,
+       std::numeric_limits<double>::max(),
+       std::numeric_limits<double>::lowest(), 35.4355, 298000.0});
+  ExpectRendersLikeStream<float>(
+      {0.1f, 1.5f, -0.0f, 1e-7f, 3.4e38f, std::numeric_limits<float>::max(),
+       std::numeric_limits<float>::infinity()});
+}
+
+enum Plain { kPlainZero, kPlainSeven = 7, kPlainNegative = -3 };
+enum Byte : unsigned char { kByteA = 'A' };
+
+TEST(StrCatTest, StringsStatusAndEnumsMatchStream) {
+  const char* literal = "const char*";
+  char buffer[] = "char*";
+  char* mutable_chars = buffer;
+  ExpectRendersLikeStream<const char*>({literal, "", "~e"});
+  ExpectRendersLikeStream<char*>({mutable_chars});
+  ExpectRendersLikeStream<std::string>({"", "s_book", std::string(40, 'x')});
+  ExpectRendersLikeStream<std::string_view>({"", "view", "c_buy ~x"});
+  ExpectRendersLikeStream<Status>(
+      {Status::OK(), Status::NotFound("unknown event symbol: q")});
+  // An unscoped enum renders as its underlying value; one whose underlying
+  // type is a character type renders as that character, like a stream.
+  ExpectRendersLikeStream<Plain>({kPlainZero, kPlainSeven, kPlainNegative});
+  ExpectRendersLikeStream<Byte>({kByteA});
+  // Mixed in one call, the way log and diagnosis lines are built.
+  EXPECT_EQ(StrCat("checkpoint at line ", 3, " covers ", uint64_t{7},
+                   " records: ", 4.5, ' ', true, kPlainSeven, " ",
+                   Status::Internal("x"), std::string_view(" v"), literal),
+            StreamCat("checkpoint at line ", 3, " covers ", uint64_t{7},
+                      " records: ", 4.5, ' ', true, kPlainSeven, " ",
+                      Status::Internal("x"), std::string_view(" v"),
+                      literal));
+  EXPECT_EQ(StrCat(), "");
+  std::string untouched = "same";
+  StrAppend(&untouched);
+  EXPECT_EQ(untouched, "same");
+}
+
+TEST(StrCatTest, StrJoinMatchesStreamOverContainers) {
+  ExpectRendersLikeStream<std::string>({});
+  EXPECT_EQ(StrJoin(std::set<int>{3, 1, 2}, "+"),
+            StreamJoin(std::set<int>{3, 1, 2}, "+"));
+  std::vector<bool> flags = {true, false, true};
+  EXPECT_EQ(StrJoin(flags, ""), StreamJoin(flags, ""));
+  EXPECT_EQ(StrJoin(std::vector<const char*>{"a", "b"}, " . "), "a . b");
+}
+
+/// The fields a SplitCursor walks, collected.
+std::vector<std::string> SplitFields(std::string_view text, char sep) {
+  std::vector<std::string> fields;
+  SplitCursor cursor(text, sep);
+  std::string_view field;
+  while (cursor.Next(&field)) {
+    fields.emplace_back(field);
+    EXPECT_EQ(cursor.count(), fields.size());
+  }
+  EXPECT_TRUE(cursor.AtEnd());
+  return fields;
+}
+
+// SplitCursor keeps empty fields: an empty text is one empty field, and a
+// leading, doubled or trailing separator each add one.
+TEST(StringsTest, SplitCursorKeepsEmptyFields) {
+  using Fields = std::vector<std::string>;
+  EXPECT_EQ(SplitFields("a,b,c", ','), (Fields{"a", "b", "c"}));
+  EXPECT_EQ(SplitFields("", ','), (Fields{""}));
+  EXPECT_EQ(SplitFields("a,,c", ','), (Fields{"a", "", "c"}));
+  EXPECT_EQ(SplitFields(" a", ' '), (Fields{"", "a"}));
+  EXPECT_EQ(SplitFields("a ", ' '), (Fields{"a", ""}));
+  EXPECT_EQ(SplitFields("ckpt 1 2", ' '), (Fields{"ckpt", "1", "2"}));
+  EXPECT_EQ(SplitFields("x\n", '\n'), (Fields{"x", ""}));
+  EXPECT_EQ(SplitFields("\n", '\n'), (Fields{"", ""}));
 }
 
 TEST(StringsTest, StripWhitespace) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/strings.h"
 #include "runtime/checkpoint.h"
 #include "runtime/event_log.h"
@@ -282,6 +284,529 @@ TEST(EventLogV3DeathTest, CheckpointMustCoverWholeLog) {
   section.covered = 5;  // log only has 1 record
   section.last_stamp = OccurrenceStamp{10, 0};
   EXPECT_DEATH(log.InstallCheckpoint(section), "");
+}
+
+// ------------------------------------------- event-log codec: golden bytes
+
+// Byte-exact images of a log with a checkpoint section and complemented
+// literals. The line builders feed the WAL too, so any rendering change
+// shows here first.
+TEST(EventLogCodecTest, GoldenBytes) {
+  Alphabet alphabet;
+  alphabet.Intern("s_book");
+  alphabet.Intern("c_buy");
+  alphabet.Intern("x");
+  EventLog log;
+  log.set_instance(42);
+  log.Append({OccurrenceStamp{10, 0}, EventLiteral::Positive(0)});
+  log.Append({OccurrenceStamp{25, 1}, EventLiteral::Complement(1)});
+  EventLog::CheckpointSection section;
+  section.covered = 2;
+  section.last_stamp = OccurrenceStamp{25, 1};
+  section.payload = "meta 2 25 3 99\nhist 0 ~1";
+  log.InstallCheckpoint(section);
+  log.Append({OccurrenceStamp{40, 2}, EventLiteral::Complement(2)});
+  log.Append({OccurrenceStamp{40, 3}, EventLiteral::Positive(1)});
+
+  const std::string open =
+      "cdeslog v3 42\n"
+      "ckpt 2 25 1 2 13435425115147936297\n"
+      "meta 2 25 3 99\n"
+      "hist 0 ~1\n"
+      "2 40 ~x 9263860179409731783\n"
+      "3 40 c_buy 15147511235391290272\n";
+  EXPECT_EQ(log.SerializeOpen(alphabet), open);
+  EXPECT_EQ(log.Serialize(alphabet),
+            open + "checksum 15167138183118260439\n");
+  EXPECT_EQ(EventLog::HeaderLine(42), "cdeslog v3 42\n");
+  EXPECT_EQ(EventLog::HeaderLine(UINT64_MAX),
+            "cdeslog v3 18446744073709551615\n");
+  EXPECT_EQ(EventLog::RecordLine(log.records()[0], alphabet),
+            "2 40 ~x 9263860179409731783\n");
+  EXPECT_EQ(EventLog::RecordLine(log.records()[1], alphabet),
+            "3 40 c_buy 15147511235391290272\n");
+  EXPECT_EQ(EventLog::SectionText(section),
+            "ckpt 2 25 1 2 13435425115147936297\n"
+            "meta 2 25 3 99\n"
+            "hist 0 ~1\n");
+  EXPECT_EQ(EventLog::SectionText(EventLog::CheckpointSection{}),
+            "ckpt 0 0 0 0 3751417716364412183\n");
+  EventLog bare;
+  bare.set_instance(7);
+  EXPECT_EQ(bare.Serialize(alphabet),
+            "cdeslog v3 7\nchecksum 854127834627815032\n");
+
+  auto parsed = EventLog::Deserialize(alphabet, log.Serialize(alphabet));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed.value().instance(), 42u);
+  ASSERT_NE(parsed.value().checkpoint(), nullptr);
+  EXPECT_EQ(*parsed.value().checkpoint(), section);
+  EXPECT_EQ(parsed.value().records(), log.records());
+}
+
+// ----------------------------------- event-log codec: mutation reference
+
+// The split-into-strings parser the string_view codec replaced, kept as
+// the reference the codec must agree with on every input: accept or reject
+// (with the same message), instance, checkpoint, records, and
+// dropped_torn_tail.
+namespace reference {
+
+struct Parsed {
+  uint64_t instance = 0;
+  std::optional<EventLog::CheckpointSection> checkpoint;
+  std::vector<EventLog::Record> records;
+};
+
+constexpr char kHeaderV2[] = "cdeslog v2";
+constexpr char kHeaderV3[] = "cdeslog v3";
+constexpr char kTrailerPrefix[] = "checksum ";
+constexpr char kSectionPrefix[] = "ckpt ";
+
+uint64_t Fnv1a(std::string_view text) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+std::string RecordPayload(uint64_t seq, uint64_t time,
+                          const std::string& literal) {
+  return StrCat(seq, " ", time, " ", literal);
+}
+
+std::string SectionChecksumInput(const EventLog::CheckpointSection& section,
+                                 uint64_t nlines) {
+  return StrCat(section.covered, " ", section.last_stamp.time, " ",
+                section.last_stamp.seq, " ", nlines, "\n", section.payload);
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+std::vector<std::string> StrSplit(std::string_view text, char sep) {
+  std::vector<std::string> out;
+  size_t start = 0;
+  while (true) {
+    size_t pos = text.find(sep, start);
+    if (pos == std::string_view::npos) {
+      out.emplace_back(text.substr(start));
+      return out;
+    }
+    out.emplace_back(text.substr(start, pos - start));
+    start = pos + 1;
+  }
+}
+
+Result<Parsed> Parse(const Alphabet& alphabet, std::string_view text,
+                     bool tolerant, bool* dropped_torn_tail) {
+  if (dropped_torn_tail != nullptr) *dropped_torn_tail = false;
+  std::vector<std::string> lines = StrSplit(text, '\n');
+  bool ends_with_newline = !lines.empty() && lines.back().empty();
+  if (ends_with_newline) lines.pop_back();
+  if (lines.empty()) return Status::InvalidArgument("not a cdes event log");
+  if (lines.size() == 1 && !ends_with_newline) {
+    return Status::InvalidArgument("event log header torn (no newline)");
+  }
+
+  std::vector<std::string> header = StrSplit(lines.front(), ' ');
+  uint64_t instance = 0;
+  if (header.size() != 3 ||
+      (StrCat(header[0], " ", header[1]) != kHeaderV2 &&
+       StrCat(header[0], " ", header[1]) != kHeaderV3) ||
+      !ParseU64(header[2], &instance)) {
+    return Status::InvalidArgument("not a cdes event log");
+  }
+
+  bool has_trailer = false;
+  bool torn_trailer = false;
+  if (lines.size() >= 2 && lines.back().rfind(kTrailerPrefix, 0) == 0) {
+    std::string body;
+    for (size_t i = 0; i + 1 < lines.size(); ++i) body += lines[i] + "\n";
+    if (lines.back() == StrCat(kTrailerPrefix, Fnv1a(body))) {
+      has_trailer = true;
+    } else if (!tolerant) {
+      return Status::InvalidArgument("event log checksum mismatch");
+    } else {
+      torn_trailer = true;
+    }
+    lines.pop_back();
+  } else if (!tolerant) {
+    return Status::InvalidArgument("event log checksum trailer missing");
+  }
+  const bool tail_open = tolerant && !has_trailer && !torn_trailer;
+
+  Parsed log;
+  log.instance = instance;
+  OccurrenceStamp prev_stamp;
+  bool have_prev = false;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    bool final_line = i + 1 == lines.size();
+    if (lines[i].rfind(kSectionPrefix, 0) == 0) {
+      std::vector<std::string> fields = StrSplit(lines[i], ' ');
+      EventLog::CheckpointSection section;
+      uint64_t nlines = 0, crc = 0;
+      bool well_formed = fields.size() == 6 &&
+                         ParseU64(fields[1], &section.covered) &&
+                         ParseU64(fields[2], &section.last_stamp.time) &&
+                         ParseU64(fields[3], &section.last_stamp.seq) &&
+                         ParseU64(fields[4], &nlines) &&
+                         ParseU64(fields[5], &crc);
+      if (!well_formed) {
+        if (tail_open && final_line) break;
+        return Status::InvalidArgument(
+            StrCat("malformed checkpoint section at line ", i + 1));
+      }
+      size_t payload_end = i + 1 + nlines;
+      bool extends_to_eof = payload_end >= lines.size();
+      if (payload_end > lines.size()) {
+        if (tail_open) break;
+        return Status::InvalidArgument(
+            StrCat("truncated checkpoint section at line ", i + 1));
+      }
+      std::string payload;
+      for (size_t j = i + 1; j < payload_end; ++j) {
+        if (j > i + 1) payload += "\n";
+        payload += lines[j];
+      }
+      section.payload = std::move(payload);
+      if (crc != Fnv1a(SectionChecksumInput(section, nlines))) {
+        if (tail_open && extends_to_eof) break;
+        return Status::InvalidArgument(
+            StrCat("checkpoint checksum mismatch at line ", i + 1));
+      }
+      uint64_t held =
+          (log.checkpoint ? log.checkpoint->covered : 0) + log.records.size();
+      bool opens_file = !log.checkpoint && log.records.empty();
+      if (!opens_file && section.covered != held) {
+        return Status::InvalidArgument(
+            StrCat("checkpoint at line ", i + 1, " covers ", section.covered,
+                   " records but the log holds ", held));
+      }
+      if (have_prev && section.covered > 0 &&
+          section.last_stamp < prev_stamp) {
+        return Status::InvalidArgument(
+            StrCat("checkpoint stamp decreases at line ", i + 1));
+      }
+      if (section.covered > 0) {
+        prev_stamp = section.last_stamp;
+        have_prev = true;
+      }
+      log.checkpoint = std::move(section);
+      log.records.clear();
+      i = payload_end - 1;
+      continue;
+    }
+    std::vector<std::string> fields = StrSplit(lines[i], ' ');
+    uint64_t seq = 0, time = 0, crc = 0;
+    bool well_formed = fields.size() == 4 && ParseU64(fields[0], &seq) &&
+                       ParseU64(fields[1], &time) && ParseU64(fields[3], &crc);
+    if (well_formed) {
+      well_formed = crc == Fnv1a(RecordPayload(seq, time, fields[2]));
+    }
+    if (!well_formed) {
+      if (tail_open && final_line) {
+        if (dropped_torn_tail != nullptr && !lines[i].empty() &&
+            IsDigit(lines[i][0])) {
+          *dropped_torn_tail = true;
+        }
+        break;
+      }
+      return Status::InvalidArgument(
+          StrCat("malformed log record at line ", i + 1));
+    }
+    EventLog::Record record;
+    record.stamp.seq = seq;
+    record.stamp.time = time;
+    if (have_prev && record.stamp < prev_stamp) {
+      return Status::InvalidArgument(
+          StrCat("log stamps decrease at line ", i + 1));
+    }
+    prev_stamp = record.stamp;
+    have_prev = true;
+    auto literal = alphabet.ParseLiteral(fields[2]);
+    if (!literal.ok()) return literal.status();
+    record.literal = literal.value();
+    log.records.push_back(record);
+  }
+  return log;
+}
+
+}  // namespace reference
+
+// A record's checksum covers its canonically re-rendered `seq time
+// literal`, not the bytes as written: `007` verifies as `7` does, and a
+// checksum over the padded bytes does not verify.
+TEST(EventLogCodecTest, RecordChecksumCoversCanonicalStamp) {
+  Alphabet alphabet;
+  alphabet.Intern("x");
+  std::string canonical = EventLog::RecordLine(
+      {OccurrenceStamp{40, 7}, EventLiteral::Complement(0)}, alphabet);
+  ASSERT_EQ(canonical.compare(0, 8, "7 40 ~x "), 0) << canonical;
+  auto sealed = [](std::string body) {
+    return StrCat(body, "checksum ", reference::Fnv1a(body), "\n");
+  };
+  std::string header = EventLog::HeaderLine(1);
+  auto padded =
+      EventLog::Deserialize(alphabet, sealed(header + "00" + canonical));
+  ASSERT_TRUE(padded.ok()) << padded.status();
+  ASSERT_EQ(padded.value().size(), 1u);
+  EXPECT_EQ(padded.value().records()[0].stamp, (OccurrenceStamp{40, 7}));
+  auto raw = EventLog::Deserialize(
+      alphabet, sealed(StrCat(header, "007 40 ~x ",
+                              reference::Fnv1a("007 40 ~x"), "\n")));
+  ASSERT_FALSE(raw.ok());
+  EXPECT_EQ(raw.status().message(), "malformed log record at line 2");
+}
+
+/// Where the codec and the reference first disagree on `text` (strict and
+/// tolerant), or "" when they agree. Tallies the verdicts in `accepted`
+/// and `rejected` ([0] strict, [1] tolerant).
+std::string CodecDisagreement(const Alphabet& alphabet,
+                              const std::string& text, size_t accepted[2],
+                              size_t rejected[2]) {
+  for (bool tolerant : {false, true}) {
+    bool dropped = false, ref_dropped = false;
+    Result<EventLog> got =
+        tolerant ? EventLog::LoadTolerant(alphabet, text, &dropped)
+                 : EventLog::Deserialize(alphabet, text);
+    Result<reference::Parsed> want =
+        reference::Parse(alphabet, text, tolerant, &ref_dropped);
+    std::string mode = tolerant ? "tolerant: " : "strict: ";
+    if (got.ok() != want.ok()) {
+      return mode + "accept/reject differs: codec " +
+             (got.ok() ? "OK" : got.status().ToString()) + ", reference " +
+             (want.ok() ? "OK" : want.status().ToString());
+    }
+    if (!got.ok()) {
+      ++rejected[tolerant];
+      if (got.status() != want.status()) {
+        return mode + "codec " + got.status().ToString() + ", reference " +
+               want.status().ToString();
+      }
+      continue;
+    }
+    ++accepted[tolerant];
+    const EventLog& log = got.value();
+    const reference::Parsed& ref = want.value();
+    if (log.instance() != ref.instance) return mode + "instance differs";
+    if ((log.checkpoint() != nullptr) != ref.checkpoint.has_value() ||
+        (ref.checkpoint && !(*log.checkpoint() == *ref.checkpoint))) {
+      return mode + "checkpoint differs";
+    }
+    if (log.records() != ref.records) return mode + "records differ";
+    if (tolerant && dropped != ref_dropped) {
+      return mode + "dropped_torn_tail differs";
+    }
+  }
+  return "";
+}
+
+/// The logs the mutations start from: sealed and open images, with and
+/// without checkpoint sections (one with an empty payload), compacted and
+/// pre-compaction shapes, and a v2 header.
+std::vector<std::string> CodecCorpus(const Alphabet& alphabet) {
+  std::vector<EventLog::Record> all = {
+      {OccurrenceStamp{10, 0}, EventLiteral::Positive(0)},
+      {OccurrenceStamp{25, 1}, EventLiteral::Complement(1)},
+      {OccurrenceStamp{25, 2}, EventLiteral::Positive(2)},
+      {OccurrenceStamp{40, 3}, EventLiteral::Complement(0)},
+      {OccurrenceStamp{107, 4}, EventLiteral::Positive(1)},
+  };
+  std::vector<std::string> corpus;
+  auto add_sealed_and_open = [&](const EventLog& log) {
+    corpus.push_back(log.Serialize(alphabet));
+    corpus.push_back(log.SerializeOpen(alphabet));
+  };
+
+  EventLog plain;
+  plain.set_instance(3);
+  for (const EventLog::Record& r : all) plain.Append(r);
+  add_sealed_and_open(plain);
+
+  EventLog::CheckpointSection section;
+  section.covered = 3;
+  section.last_stamp = all[2].stamp;
+  section.payload = "meta 3 25 3 77\nhist 0 ~1 2\nactor 0";
+  EventLog compacted;
+  compacted.set_instance(12);
+  for (size_t i = 0; i < 3; ++i) compacted.Append(all[i]);
+  compacted.InstallCheckpoint(section);
+  for (size_t i = 3; i < all.size(); ++i) compacted.Append(all[i]);
+  add_sealed_and_open(compacted);
+
+  // Phase 1 of a compaction: the covered records still precede the
+  // section, with and without a trailer behind the suffix.
+  std::string pre = EventLog::HeaderLine(12);
+  for (size_t i = 0; i < 3; ++i) pre += EventLog::RecordLine(all[i], alphabet);
+  pre += EventLog::SectionText(section);
+  for (size_t i = 3; i < all.size(); ++i) {
+    pre += EventLog::RecordLine(all[i], alphabet);
+  }
+  corpus.push_back(pre);
+  corpus.push_back(StrCat(pre, "checksum ", reference::Fnv1a(pre), "\n"));
+
+  EventLog::CheckpointSection empty_payload;
+  empty_payload.covered = 1;
+  empty_payload.last_stamp = all[0].stamp;
+  EventLog bare_section;
+  bare_section.set_instance(5);
+  bare_section.Append(all[0]);
+  bare_section.InstallCheckpoint(empty_payload);
+  bare_section.Append(all[1]);
+  add_sealed_and_open(bare_section);
+
+  std::string v2 = plain.SerializeOpen(alphabet);
+  v2.replace(0, 10, "cdeslog v2");
+  corpus.push_back(v2);
+  corpus.push_back(StrCat(v2, "checksum ", reference::Fnv1a(v2), "\n"));
+
+  EventLog empty;
+  add_sealed_and_open(empty);
+  return corpus;
+}
+
+/// Offsets in `text` where a line begins.
+std::vector<size_t> LineStarts(const std::string& text) {
+  std::vector<size_t> starts = {0};
+  for (size_t i = 0; i + 1 < text.size(); ++i) {
+    if (text[i] == '\n') starts.push_back(i + 1);
+  }
+  return starts;
+}
+
+/// One random mutation of `text`: a byte flip, an inserted or deleted
+/// line, a leading zero in a numeric field, a doubled space, `\r\n` line
+/// ends, two lines joined by a space or a trailing space, or a
+/// truncation.
+std::string Mutate(std::string text, Rng* rng) {
+  if (text.empty()) return text;
+  std::vector<size_t> starts = LineStarts(text);
+  auto line_end = [&text](size_t start) {
+    size_t nl = text.find('\n', start);
+    return nl == std::string::npos ? text.size() : nl + 1;
+  };
+  switch (rng->Uniform(8)) {
+    case 0: {  // flip one bit, or write a byte the grammar cares about
+      size_t at = rng->Uniform(text.size());
+      static constexpr char kBytes[] = " \n0123456789~ckptsum";
+      if (rng->Bernoulli(0.5)) {
+        text[at] = static_cast<char>(text[at] ^ (1 << rng->Uniform(8)));
+      } else {
+        text[at] = kBytes[rng->Uniform(sizeof(kBytes) - 1)];
+      }
+      break;
+    }
+    case 1: {  // insert a copy of some line, or a short stray one
+      size_t from = starts[rng->Uniform(starts.size())];
+      std::string line = text.substr(from, line_end(from) - from);
+      if (line.empty() || line.back() != '\n') line += '\n';
+      if (rng->Bernoulli(0.3)) line = rng->Bernoulli(0.5) ? "\n" : "ckpt 1\n";
+      text.insert(starts[rng->Uniform(starts.size())], line);
+      break;
+    }
+    case 2: {  // delete a line
+      size_t from = starts[rng->Uniform(starts.size())];
+      text.erase(from, line_end(from) - from);
+      break;
+    }
+    case 3: {  // a leading zero in front of a digit run
+      std::vector<size_t> runs;
+      for (size_t i = 0; i < text.size(); ++i) {
+        bool starts_run = reference::IsDigit(text[i]) &&
+                          (i == 0 || !reference::IsDigit(text[i - 1]));
+        if (starts_run) runs.push_back(i);
+      }
+      if (!runs.empty()) text.insert(runs[rng->Uniform(runs.size())], "0");
+      break;
+    }
+    case 4: {  // a doubled space
+      std::vector<size_t> spaces;
+      for (size_t i = 0; i < text.size(); ++i) {
+        if (text[i] == ' ') spaces.push_back(i);
+      }
+      if (!spaces.empty()) {
+        text.insert(spaces[rng->Uniform(spaces.size())], " ");
+      }
+      break;
+    }
+    case 5: {  // \r\n line ends: one line's, or every line's
+      bool every = rng->Bernoulli(0.5);
+      size_t pick = rng->Uniform(starts.size());
+      std::string out;
+      size_t line = 0;
+      for (char c : text) {
+        if (c == '\n' && (every || line++ == pick)) out += '\r';
+        out += c;
+      }
+      text = std::move(out);
+      break;
+    }
+    case 6: {  // a space in place of a line end, or in front of one
+      std::vector<size_t> ends;
+      for (size_t i = 0; i < text.size(); ++i) {
+        if (text[i] == '\n') ends.push_back(i);
+      }
+      if (ends.empty()) break;
+      size_t at = ends[rng->Uniform(ends.size())];
+      if (rng->Bernoulli(0.5)) {
+        text[at] = ' ';
+      } else {
+        text.insert(at, " ");
+      }
+      break;
+    }
+    default:  // a truncation
+      text.resize(rng->Uniform(text.size() + 1));
+      break;
+  }
+  return text;
+}
+
+// The string_view codec against the StrSplit reference on thousands of
+// deterministic mutants of real logs: every truncation of every corpus
+// log, and seeded single and double mutations (byte flips, inserted and
+// deleted lines, leading zeros, doubled, joining and trailing spaces,
+// \r\n line ends).
+TEST(EventLogCodecTest, MutatedLogsParseLikeTheReference) {
+  Alphabet alphabet;
+  alphabet.Intern("s_book");
+  alphabet.Intern("c_buy");
+  alphabet.Intern("x");
+  std::vector<std::string> corpus = CodecCorpus(alphabet);
+  size_t accepted[2] = {0, 0}, rejected[2] = {0, 0};
+  size_t cases = 0;
+  for (size_t li = 0; li < corpus.size(); ++li) {
+    const std::string& base = corpus[li];
+    for (size_t cut = 0; cut <= base.size(); ++cut) {
+      std::string text = base.substr(0, cut);
+      std::string why = CodecDisagreement(alphabet, text, accepted, rejected);
+      ASSERT_EQ(why, "") << "log " << li << " cut at " << cut << ":\n" << text;
+      ++cases;
+    }
+  }
+  Rng rng(20261019);
+  for (size_t round = 0; round < 8000; ++round) {
+    size_t li = rng.Uniform(corpus.size());
+    std::string text = Mutate(corpus[li], &rng);
+    if (rng.Bernoulli(0.3)) text = Mutate(std::move(text), &rng);
+    // A valid trailer over the mutant puts its body before the strict
+    // parser too.
+    if (rng.Bernoulli(0.4)) {
+      text = StrCat(text, "checksum ", reference::Fnv1a(text), "\n");
+    }
+    std::string why = CodecDisagreement(alphabet, text, accepted, rejected);
+    ASSERT_EQ(why, "") << "round " << round << " from log " << li << ":\n"
+                       << text;
+    ++cases;
+  }
+  EXPECT_GT(cases, 9000u);
+  // Both verdicts occur in both modes, so the agreement is not vacuous.
+  for (int mode : {0, 1}) {
+    EXPECT_GT(accepted[mode], 200u) << mode;
+    EXPECT_GT(rejected[mode], 1000u) << mode;
+  }
 }
 
 // --------------------------------------------------------- guard sexprs

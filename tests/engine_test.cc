@@ -21,6 +21,7 @@
 #include "engine/engine.h"
 #include "guards/workflow.h"
 #include "obs/json.h"
+#include "sched/diagnostics.h"
 #include "sched/guard_scheduler.h"
 #include "sim/network.h"
 #include "spec/parser.h"
@@ -416,6 +417,50 @@ workflow rnd {
   EXPECT_EQ(TraceToString(w.sched->history(), *ctx.alphabet()),
             "<e3 ~e1 e0 ~e2>");
   EXPECT_TRUE(w.sched->Undecided().empty());
+}
+
+// A closure wave re-attempts a scripted complement that is still parked:
+// the repeated attempt joins the parked entry instead of adding a second
+// one. Under `f . ~e` the scripted ~e parks on □f, and the wave attempts
+// ~e again (and rejects ~f, whose guard is 0). The report lists ~e once,
+// and every attempt's callback hears kParked once and, when f finally
+// occurs, kAccepted once.
+TEST(ClosureWaveTest, RepeatedAttemptJoinsItsParkedEntry) {
+  WorkflowContext ctx;
+  auto parsed = ParseWorkflow(&ctx, R"(
+workflow join {
+  event e;
+  event f;
+  dep d: f . ~e;
+}
+)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  SchedWorld w(&ctx, CompileWorkflowShared(&ctx, parsed.value().spec),
+               parsed.value(), 1, nullptr);
+  const EventLiteral not_e = ctx.alphabet()->ParseLiteral("~e").value();
+  std::vector<Decision> scripted, repeated;
+  w.sched->Attempt(not_e, [&](Decision d) { scripted.push_back(d); });
+  w.sim.Run();
+  w.sched->Close();
+  w.sim.Run();
+  EXPECT_EQ(w.sched->parked_count(), 1u);
+  std::vector<ParkedDiagnosis> parked = DiagnoseParked(&ctx, w.sched.get());
+  ASSERT_EQ(parked.size(), 1u);
+  EXPECT_EQ(parked[0].literal, not_e);
+  EXPECT_EQ(scripted, std::vector<Decision>{Decision::kParked});
+
+  w.sched->Attempt(not_e, [&](Decision d) { repeated.push_back(d); });
+  w.sim.Run();
+  EXPECT_EQ(w.sched->parked_count(), 1u);
+  EXPECT_EQ(repeated, std::vector<Decision>{Decision::kParked});
+  w.sched->Attempt(ctx.alphabet()->ParseLiteral("f").value(), {});
+  w.sim.Run();
+  EXPECT_EQ(TraceToString(w.sched->history(), *ctx.alphabet()), "<f ~e>");
+  EXPECT_EQ(w.sched->parked_count(), 0u);
+  const std::vector<Decision> parked_then_accepted = {Decision::kParked,
+                                                      Decision::kAccepted};
+  EXPECT_EQ(scripted, parked_then_accepted);
+  EXPECT_EQ(repeated, parked_then_accepted);
 }
 
 // `e . f` with script {e}: e parks waiting for f, and closure rejects both

@@ -373,5 +373,99 @@ TEST(ModelCheckerPropertyTest, SchedulerClosureIsAcceptedByChecker) {
   EXPECT_GT(closed, 10u);
 }
 
+// ------------------------------ property: history consistency, filtered
+
+// GuardScheduler::HistoryConsistent residuates each dependency only by the
+// history literals whose symbol it mentions (CompiledWorkflow::
+// DependencySymbols): residuation rule 6 makes every other step the
+// identity on interned nodes. On random specs, every valid history over
+// the symbols (maximal or not) reaches the very node the full residuation
+// reaches, and a scheduler's verdict, for both values of
+// require_satisfaction, is the one the full residuals give.
+TEST(HistoryConsistentTest, MentionFilterKeepsEveryResidual) {
+  constexpr size_t kSymbols = 4;
+  std::vector<EventLiteral> literals;
+  for (SymbolId s = 0; s < kSymbols; ++s) {
+    literals.push_back(EventLiteral::Positive(s));
+    literals.push_back(EventLiteral::Complement(s));
+  }
+  const std::vector<Trace> histories = EnumerateUniverse(literals);
+  size_t compared = 0, skipping = 0;
+  size_t verdicts[2] = {0, 0};  // [false, true] verdicts checked
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    WorkflowContext gen_ctx;
+    for (size_t i = 0; i < kSymbols; ++i) {
+      gen_ctx.alphabet()->Intern(StrCat("e", i));
+    }
+    Rng rng(seed * 613 + 29);
+    std::string text = "workflow rnd {\n  agent a @ site(0);\n";
+    for (size_t i = 0; i < kSymbols; ++i) {
+      text += StrCat("  event e", i, " agent(a);\n");
+    }
+    size_t d = 0;
+    for (const Expr* expr : RandomDeps(&gen_ctx, &rng, kSymbols, 3)) {
+      text += StrCat("  dep d", d++, ": ",
+                     ExprToString(expr, *gen_ctx.alphabet()), ";\n");
+    }
+    text += "}\n";
+    WorkflowContext ctx;
+    auto parsed = ParseWorkflow(&ctx, text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+    CompiledWorkflow compiled = CompileWorkflow(&ctx, parsed.value().spec);
+    const std::vector<Dependency>& deps = compiled.dependencies();
+    Residuator* residuator = ctx.residuator();
+    for (const Trace& u : histories) {
+      for (size_t di = 0; di < deps.size(); ++di) {
+        const std::vector<bool>& mentioned = compiled.DependencySymbols(di);
+        ASSERT_EQ(residuator->ResiduateTrace(deps[di].expr, u, mentioned),
+                  residuator->ResiduateTrace(deps[di].expr, u))
+            << "seed " << seed << " dependency " << deps[di].name
+            << " history " << TraceToString(u, *ctx.alphabet()) << "\n"
+            << text;
+        for (EventLiteral l : u) {
+          if (l.symbol() >= mentioned.size() || !mentioned[l.symbol()]) {
+            ++skipping;
+            break;
+          }
+        }
+        ++compared;
+      }
+    }
+
+    // The scheduler's own histories: a random script, then one closure
+    // wave.
+    if (compiled.impossible()) continue;
+    Simulator sim;
+    GuardScheduler sched(&ctx, CompileWorkflowShared(&ctx, parsed.value().spec),
+                         parsed.value(), &sim);
+    for (size_t i = 0; i < kSymbols; ++i) {
+      if (rng.Next() % 2 == 0) continue;
+      auto lit = ctx.alphabet()->ParseLiteral(
+          StrCat(rng.Next() % 3 == 0 ? "~" : "", "e", i));
+      ASSERT_TRUE(lit.ok());
+      sched.Attempt(lit.value(), AttemptCallback());
+      sim.Run();
+    }
+    sched.Close();
+    sim.Run();
+    for (bool require_satisfaction : {false, true}) {
+      bool full = true;
+      for (const Dependency& dep : deps) {
+        const Expr* r = residuator->ResiduateTrace(dep.expr, sched.history());
+        if (require_satisfaction ? !r->IsTop() : r->IsZero()) full = false;
+      }
+      EXPECT_EQ(sched.HistoryConsistent(require_satisfaction), full)
+          << "seed " << seed << " history "
+          << TraceToString(sched.history(), *ctx.alphabet()) << "\n"
+          << text;
+      ++verdicts[full];
+    }
+  }
+  EXPECT_GT(compared, 200000u);
+  EXPECT_GT(skipping, compared / 4);  // the filter does skip steps
+  EXPECT_GT(verdicts[false], 10u);
+  EXPECT_GT(verdicts[true], 10u);
+}
+
 }  // namespace
 }  // namespace cdes
