@@ -31,11 +31,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "algebra/residuation.h"
 #include "analysis/analyzer.h"
+#include "common/file.h"
 #include "guards/workflow.h"
 #include "obs/chrome_trace.h"
 #include "obs/profiler.h"
@@ -112,14 +111,12 @@ int main(int argc, char** argv) {
   obs::GuardProfiler* profiler = profile ? &profiler_storage : nullptr;
   if (profiler != nullptr && path != nullptr) profiler->set_source(path);
   if (path != nullptr) {
-    std::ifstream in(path);
-    if (!in) {
+    Result<std::string> read = ReadFile(path);
+    if (!read.ok()) {
       std::fprintf(stderr, "cannot open %s\n", path);
       return 1;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    text = buffer.str();
+    text = std::move(read).value();
   } else {
     std::printf("(no file given; compiling the built-in demo spec)\n");
   }

@@ -72,12 +72,6 @@ class EventLiteral {
   uint32_t code_;
 };
 
-struct EventLiteralHash {
-  size_t operator()(EventLiteral l) const {
-    return std::hash<uint32_t>()(l.index());
-  }
-};
-
 /// Interning table for event symbol names (the paper's Σ). Symbols are
 /// compared by id; names are kept for printing and parsing.
 ///

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <utility>
 
+#include "common/file.h"
 #include "common/strings.h"
 #include "obs/json.h"
 #include "runtime/event_log.h"
@@ -204,7 +203,7 @@ Result<uint64_t> Engine::SubmitInternal(InstanceScript script, bool block) {
   return id;
 }
 
-Status Engine::Recover(const std::vector<std::string>& logs) {
+Status Engine::Recover(std::vector<std::string> logs) {
   CDES_CHECK(!stopped_) << "Recover after Stop";
   // Validate the whole batch before materializing anything: two logs
   // naming the same instance would otherwise double-submit it onto one
@@ -232,7 +231,7 @@ Status Engine::Recover(const std::vector<std::string>& logs) {
     EngineCommand cmd;
     cmd.kind = EngineCommand::Kind::kRecover;
     cmd.id = id;
-    cmd.log_text = logs[i];
+    cmd.log_text = std::move(logs[i]);
     cmd.submitted_at_us = NowUs();
     manager_->RecordSubmit(id, cmd.submitted_at_us,
                            cmd.submitted_at_us - entered_at_us);
@@ -260,15 +259,11 @@ Status Engine::RecoverDir(const std::string& dir) {
   std::vector<std::string> logs;
   logs.reserve(paths.size());
   for (const std::string& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return Status::NotFound(StrCat("cannot read '", path, "'"));
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    logs.push_back(std::move(text).str());
+    Result<std::string> text = ReadFile(path);
+    if (!text.ok()) return text.status();
+    logs.push_back(std::move(text).value());
   }
-  return Recover(logs);
+  return Recover(std::move(logs));
 }
 
 void Engine::Checkpoint() {

@@ -178,7 +178,7 @@ class Engine {
   /// any instance materializes — a double-submit would run the instance
   /// twice on its shard. Returns the first routing error; per-instance
   /// failures surface in that instance's result instead.
-  Status Recover(const std::vector<std::string>& logs);
+  Status Recover(std::vector<std::string> logs);
 
   /// Recover(every `*.log` file under `dir`), in sorted filename order —
   /// the restart path for a wal_dir engine: point the new engine at the

@@ -49,20 +49,24 @@ CompiledWorkflow CompileWorkflow(WorkflowContext* ctx,
   CompiledWorkflow out;
   out.top_ = ctx->guards()->True();
   out.dependencies_ = spec.dependencies();
-  out.symbols_ = spec.Symbols();
   // An unsatisfiable dependency admits no computation at all (it may be
   // the constant 0 — symbol-free, so the usual "mentions e" test would
   // silently skip it — or a contradiction like e|ē). It contributes 0
   // everywhere.
   std::vector<bool> dep_impossible(out.dependencies_.size(), false);
+  std::vector<bool> dep_simplify(out.dependencies_.size(), false);
   for (size_t di = 0; di < out.dependencies_.size(); ++di) {
     const Expr* expr = out.dependencies_[di].expr;
     if (!IsSatisfiable(ctx->residuator(), expr)) {
       dep_impossible[di] = true;
       out.impossible_ = true;
     }
+    std::set<SymbolId> mentioned = MentionedSymbols(expr);
+    dep_simplify[di] =
+        options.simplify && mentioned.size() <= kMaxStateSpaceSymbols;
+    out.symbols_.insert(mentioned.begin(), mentioned.end());
     std::vector<bool>& mask = out.dependency_symbols_.emplace_back();
-    for (SymbolId s : MentionedSymbols(expr)) {
+    for (SymbolId s : mentioned) {
       if (s >= mask.size()) mask.resize(s + 1, false);
       mask[s] = true;
     }
@@ -78,10 +82,8 @@ CompiledWorkflow CompileWorkflow(WorkflowContext* ctx,
           conj.push_back(ctx->guards()->False());
           continue;
         }
-        std::set<SymbolId> dep_symbols = MentionedSymbols(dep.expr);
-        if (!dep_symbols.count(s)) continue;
-        bool simplify = options.simplify &&
-                        dep_symbols.size() <= kMaxStateSpaceSymbols;
+        const std::vector<bool>& mask = out.dependency_symbols_[di];
+        if (s >= mask.size() || !mask[s]) continue;
         obs::GuardProfiler::Site* site = nullptr;
         bool sampled = false;
         uint64_t t0 = 0, steps0 = 0;
@@ -95,8 +97,9 @@ CompiledWorkflow CompileWorkflow(WorkflowContext* ctx,
           if (sampled) t0 = obs::ProfilerNowNs();
         }
         const Guard* g =
-            simplify ? ctx->synthesizer()->SynthesizeSimplified(dep.expr, l)
-                     : ctx->synthesizer()->Synthesize(dep.expr, l);
+            dep_simplify[di]
+                ? ctx->synthesizer()->SynthesizeSimplified(dep.expr, l)
+                : ctx->synthesizer()->Synthesize(dep.expr, l);
         if (site != nullptr) {
           options.profiler->Record(
               site, ctx->residuator()->residuate_calls() - steps0,

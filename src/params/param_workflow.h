@@ -21,7 +21,7 @@ class WorkflowTemplate {
       : name_(std::move(name)), params_(std::move(params)) {}
 
   void AddAgent(const std::string& agent, int site) {
-    agents_.push_back(AgentDecl{agent, site});
+    agents_.push_back(AgentDecl{agent, site, {}});
   }
 
   /// Declares a parametrized event. `atom` must be positive and use only

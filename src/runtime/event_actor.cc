@@ -97,7 +97,6 @@ const Guard* EventActor::CurrentGuard(EventLiteral literal) const {
 
 bool EventActor::Firable(EventLiteral literal, const Guard** reduced) const {
   auto check = [&] {
-    if (FastPermitted(literal)) return true;
     *reduced = CurrentGuard(literal);
     return flat_->EvaluateNow(*reduced);
   };
@@ -136,22 +135,6 @@ bool EventActor::Firable(EventLiteral literal, const Guard** reduced) const {
     wall_done = wall_to;
   }
   return permitted;
-}
-
-bool EventActor::FastPermitted(EventLiteral literal) const {
-  // The decided-literal bitmask fast path: for a ◇-free compiled guard,
-  // EvaluateNow of the fully assimilated CurrentGuard equals evaluating the
-  // compiled DAG directly against heard-set membership (□ℓ ↦ heard(ℓ),
-  // ¬ℓ ↦ ¬heard(ℓ)) — reduction by an occurrence decides exactly those
-  // atoms, and a promise only ever falsifies □ℓ̄ / verifies ¬ℓ̄, neither of
-  // which flips the optimistic outcome. Guards containing ◇ carry residual
-  // obligations whose discharge depends on fold order and held promises, so
-  // they take the reduced-guard path.
-  const FlatProgram& p = flat_->ProgramFor(CompiledGuard(literal));
-  if (p.has_diamond) return false;
-  return p.EvaluateHeard(
-      [this](EventLiteral l) { return heard_literals_.count(l) != 0; },
-      flat_->scratch());
 }
 
 const Guard* EventActor::DischargeDiamonds(const Guard* g) const {
@@ -262,47 +245,20 @@ void EventActor::Attempt(EventLiteral literal, AttemptCallback done) {
                                         : Decision::kRejected);
     return;
   }
-  const Guard* g = nullptr;
-  if (Firable(literal, &g)) {
-    Occur(literal);
-    if (done) done(Decision::kAccepted);
-    return;
-  }
-  const EventAttributes& attrs = Attrs(literal);
-  if (g->IsFalse()) {
-    if (attrs.rejectable) {
-      if (done) done(Decision::kRejected);
-    } else {
-      // §3.3: "The scheduler has no choice but to accept nonrejectable
-      // events like abort."
-      host_->RecordViolation(literal);
-      Occur(literal);
-      if (done) done(Decision::kAccepted);
-    }
-    return;
-  }
-  if (!attrs.delayable) {
-    if (attrs.rejectable) {
-      if (done) done(Decision::kRejected);
-    } else {
-      host_->RecordViolation(literal);
-      Occur(literal);
-      if (done) done(Decision::kAccepted);
-    }
-    return;
-  }
-  if (done) done(Decision::kParked);
   // One entry per literal: an attempt of a literal already parked (a
-  // closure wave re-attempting a scripted complement) waits on the same
-  // entry, its callback chained behind the first, so each attempt still
-  // gets exactly one final decision.
+  // closure wave re-attempting a scripted complement, a trigger or an
+  // obligation for an attempt already waiting) joins that entry, its
+  // callback chained behind the first, so each attempt still gets exactly
+  // one final decision. Evaluating it again would add nothing: every
+  // change of heard_ or promises_ is followed by a Reevaluate of the
+  // parked entries.
   auto same = std::find_if(parked_.begin(), parked_.end(),
                            [literal](const Parked& p) {
                              return p.literal == literal;
                            });
-  if (same == parked_.end()) {
-    parked_.push_back(Parked{literal, std::move(done)});
-  } else if (done) {
+  if (same != parked_.end()) {
+    if (!done) return;
+    done(Decision::kParked);
     if (!same->done) {
       same->done = std::move(done);
     } else {
@@ -312,7 +268,20 @@ void EventActor::Attempt(EventLiteral literal, AttemptCallback done) {
         second(d);
       };
     }
+    return;
   }
+  const Guard* g = nullptr;
+  if (Firable(literal, &g)) {
+    Occur(literal);
+    if (done) done(Decision::kAccepted);
+    return;
+  }
+  if (g->IsFalse() || !Attrs(literal).delayable) {
+    Refuse(literal, std::move(done));
+    return;
+  }
+  if (done) done(Decision::kParked);
+  parked_.push_back(Parked{literal, std::move(done)});
   if (obs_ != nullptr) {
     if (obs_->parks != nullptr) {
       obs_->parks->Increment();
@@ -327,6 +296,18 @@ void EventActor::Attempt(EventLiteral literal, AttemptCallback done) {
   }
   EmitNeeds(literal, g);
   Reevaluate();
+}
+
+void EventActor::Refuse(EventLiteral literal, AttemptCallback done) {
+  if (Attrs(literal).rejectable) {
+    if (done) done(Decision::kRejected);
+    return;
+  }
+  // §3.3: "The scheduler has no choice but to accept nonrejectable events
+  // like abort."
+  host_->RecordViolation(literal);
+  Occur(literal);
+  if (done) done(Decision::kAccepted);
 }
 
 std::vector<EventLiteral> EventActor::ParkedLiterals() const {
@@ -362,10 +343,12 @@ void EventActor::Receive(const RuntimeMessage& msg) {
       // second announcement of the same literal (duplicated delivery, or a
       // retransmission racing its ack) must be dropped here — folding it
       // into CurrentGuard again would residuate ◇-sequences by an event
-      // that occurred only once, corrupting the reduced guard.
-      if (!heard_literals_.insert(msg.literal).second) return;
+      // that occurred only once, corrupting the reduced guard. A copy
+      // carries the occurrence's one stamp, so it finds its original just
+      // before its insertion point.
       auto entry = std::make_pair(msg.stamp, msg.literal);
       auto pos = std::upper_bound(heard_.begin(), heard_.end(), entry);
+      if (pos != heard_.begin() && *(pos - 1) == entry) return;
       TruncateFoldChains(static_cast<size_t>(pos - heard_.begin()));
       ++version_;
       heard_.insert(pos, entry);
@@ -384,14 +367,9 @@ void EventActor::Receive(const RuntimeMessage& msg) {
       if (decided_) return;  // the announcement (or nothing) answers it
       if (!TryAnswerPromiseRequest(msg)) pending_requests_.push_back(msg);
       return;
-    case RuntimeMessageKind::kTrigger: {
-      if (decided_) return;
-      for (const Parked& p : parked_) {
-        if (p.literal == msg.literal) return;  // already attempted
-      }
+    case RuntimeMessageKind::kTrigger:
       Attempt(msg.literal, AttemptCallback());
       return;
-    }
   }
 }
 
@@ -433,13 +411,7 @@ void EventActor::Reevaluate() {
       if (g->IsFalse()) {
         Parked p = std::move(parked_[i]);
         parked_.erase(parked_.begin() + i);
-        if (Attrs(p.literal).rejectable) {
-          if (p.done) p.done(Decision::kRejected);
-        } else {
-          host_->RecordViolation(p.literal);
-          Occur(p.literal);
-          if (p.done) p.done(Decision::kAccepted);
-        }
+        Refuse(p.literal, std::move(p.done));
         changed = true;
         break;
       }
@@ -636,16 +608,10 @@ void EventActor::ReviewObligations() {
     }
   }
   obligations_ = std::move(remaining);
-  // One pass over parked_ instead of a rescan per trigger; literals this
-  // loop itself attempts are added as they go (an attempt only ever parks
-  // its own literal).
-  std::set<EventLiteral> already_parked;
-  for (const Parked& p : parked_) already_parked.insert(p.literal);
+  // An attempt of a literal already parked joins its entry (see Attempt).
   for (EventLiteral literal : to_trigger) {
     if (decided_) break;
-    if (already_parked.insert(literal).second) {
-      Attempt(literal, AttemptCallback());
-    }
+    Attempt(literal, AttemptCallback());
   }
 }
 

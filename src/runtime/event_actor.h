@@ -4,7 +4,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -102,7 +101,8 @@ class EventActor {
   EventActor(const EventActor&) = delete;
   EventActor& operator=(const EventActor&) = delete;
 
-  /// A co-located task agent attempts `literal`.
+  /// A co-located task agent attempts `literal`. An attempt of a literal
+  /// that is already parked joins that entry without evaluating anything.
   void Attempt(EventLiteral literal, AttemptCallback done);
 
   /// Recovery: marks `literal` as having occurred without stamping,
@@ -180,17 +180,10 @@ class EventActor {
     return literal.complemented() ? negative_guard_ : positive_guard_;
   }
 
-  /// One firability check of `literal`: FastPermitted, else the memoized
-  /// CurrentGuard (stored in `*reduced`; the fast path leaves it null)
-  /// under the flat EvaluateNow. With a profile attached the check is
-  /// charged to the literal's sites.
+  /// The one firability check of `literal`: the flat EvaluateNow of its
+  /// memoized CurrentGuard, which is stored in `*reduced`. With a profile
+  /// attached the check is charged to the literal's sites.
   bool Firable(EventLiteral literal, const Guard** reduced) const;
-
-  /// True when `literal` is licensed right now by the flat bitmask
-  /// evaluation of its ◇-free compiled guard against the heard set —
-  /// firing then needs no symbolic reduction at all. False means "take the
-  /// reduced-guard path", not "not permitted".
-  bool FastPermitted(EventLiteral literal) const;
 
   /// Drops memoized state invalidated by an announcement inserted at
   /// heard_ index `idx` (folds of prefixes ≤ idx stay valid).
@@ -207,6 +200,11 @@ class EventActor {
   /// Makes `literal` occur: stamps, records, announces, resolves parked
   /// attempts of both polarities.
   void Occur(EventLiteral literal);
+
+  /// Answers an attempt of `literal` that may not wait (its guard reduced
+  /// to 0, or it is nondelayable): rejected when rejectable, otherwise
+  /// admitted as a violation.
+  void Refuse(EventLiteral literal, AttemptCallback done);
 
   /// Re-evaluates parked attempts and pending promise requests after any
   /// state change; loops to a fixpoint.
@@ -260,8 +258,6 @@ class EventActor {
   bool reevaluating_ = false;
 
   // ---- Memoized evaluation state.
-  /// O(1) duplicate-announcement detection (mirror of heard_'s literals).
-  std::unordered_set<EventLiteral, EventLiteralHash> heard_literals_;
   /// Per-polarity prefix-fold chains: chain[k] = compiled guard reduced by
   /// heard_[0..k) in stamp order (chain[0] is the compiled guard itself).
   mutable std::vector<const Guard*> pos_chain_;

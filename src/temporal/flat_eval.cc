@@ -28,11 +28,6 @@ FlatProgram FlatProgram::Lower(const Guard* g) {
     FlatOp op;
     op.kind = f.node->kind();
     op.node = f.node;
-    if (op.kind == GuardKind::kBox || op.kind == GuardKind::kNeg) {
-      op.literal = f.node->literal();
-    } else if (op.kind == GuardKind::kDiamond) {
-      p.has_diamond = true;
-    }
     if (!kids.empty()) {
       op.first_child = static_cast<uint32_t>(p.children.size());
       op.child_count = static_cast<uint32_t>(kids.size());

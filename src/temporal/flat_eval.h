@@ -9,13 +9,11 @@
 
 namespace cdes {
 
-/// One instruction of a flattened guard program: the node kind plus either
-/// a literal (□/¬) or a span into FlatProgram::children (+/|). `node` keeps
-/// the originating interned guard node — ◇ evaluation and the CommitNow
-/// projection need it back.
+/// One instruction of a flattened guard program: the node kind plus, for
+/// +/|, a span into FlatProgram::children. `node` keeps the originating
+/// interned guard node — the CommitNow projection needs it back.
 struct FlatOp {
   GuardKind kind;
-  EventLiteral literal;
   const Guard* node;
   uint32_t first_child = 0;  // index into FlatProgram::children
   uint32_t child_count = 0;
@@ -31,7 +29,6 @@ struct FlatOp {
 struct FlatProgram {
   std::vector<FlatOp> ops;
   std::vector<uint32_t> children;  // op indices, grouped per +/| node
-  bool has_diamond = false;
 
   /// Lowers `g` (dedup by pointer, postorder).
   static FlatProgram Lower(const Guard* g);
@@ -40,54 +37,6 @@ struct FlatProgram {
   /// true while ℓ is unheard, □/◇ require positive knowledge. `scratch` is
   /// caller-owned reusable storage.
   bool EvaluateNow(std::vector<unsigned char>* scratch) const;
-
-  /// Evaluates against heard-set membership: □ℓ ↦ heard(ℓ), ¬ℓ ↦ ¬heard(ℓ).
-  /// For a ◇-free guard this equals EvaluateNow of the guard folded by any
-  /// heard announcements and promises (promises only ever decide ◇-parts
-  /// and literals' complements, neither of which changes a □/¬ outcome
-  /// under the optimistic evaluation) — the runtime's decided-literal
-  /// bitmask fast path. Must not be used when has_diamond.
-  template <typename HeardFn>
-  bool EvaluateHeard(HeardFn&& heard,
-                     std::vector<unsigned char>* scratch) const {
-    std::vector<unsigned char>& v = *scratch;
-    if (v.size() < ops.size()) v.resize(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      const FlatOp& op = ops[i];
-      switch (op.kind) {
-        case GuardKind::kTrue:
-          v[i] = 1;
-          break;
-        case GuardKind::kFalse:
-        case GuardKind::kDiamond:
-          v[i] = 0;
-          break;
-        case GuardKind::kBox:
-          v[i] = heard(op.literal) ? 1 : 0;
-          break;
-        case GuardKind::kNeg:
-          v[i] = heard(op.literal) ? 0 : 1;
-          break;
-        case GuardKind::kAnd: {
-          unsigned char r = 1;
-          for (uint32_t c = 0; c < op.child_count; ++c) {
-            r &= v[children[op.first_child + c]];
-          }
-          v[i] = r;
-          break;
-        }
-        case GuardKind::kOr: {
-          unsigned char r = 0;
-          for (uint32_t c = 0; c < op.child_count; ++c) {
-            r |= v[children[op.first_child + c]];
-          }
-          v[i] = r;
-          break;
-        }
-      }
-    }
-    return v[ops.size() - 1] != 0;
-  }
 };
 
 /// Compiles interned guard nodes to FlatPrograms and memoizes the two pure
@@ -110,10 +59,6 @@ class FlatEvaluator {
   /// postorder sweep over the flat program. `arena` must be the arena `g`
   /// lives in.
   const Guard* Commit(GuardArena* arena, const Guard* g);
-
-  /// Scratch buffer for the Evaluate* entry points (kept here so actor hot
-  /// paths allocate nothing after warm-up).
-  std::vector<unsigned char>* scratch() { return &scratch_; }
 
   size_t program_count() const { return programs_.size(); }
 

@@ -251,14 +251,16 @@ TEST(EngineTest, RandomSpecsDeterministicAcrossShardCounts) {
 struct SchedWorld {
   SchedWorld(WorkflowContext* ctx, const CompiledWorkflowRef& compiled,
              const ParsedWorkflow& workflow, size_t sites,
-             const NetworkOptions* nopts)
+             const NetworkOptions* nopts,
+             const GuardSchedulerOptions& options = {})
       : ctx(ctx) {
     if (nopts != nullptr) {
       net = std::make_unique<Network>(&sim, sites, *nopts);
       sched = std::make_unique<GuardScheduler>(ctx, compiled, workflow,
-                                               net.get());
+                                               net.get(), options);
     } else {
-      sched = std::make_unique<GuardScheduler>(ctx, compiled, workflow, &sim);
+      sched = std::make_unique<GuardScheduler>(ctx, compiled, workflow, &sim,
+                                               options);
     }
   }
 
@@ -424,7 +426,8 @@ workflow rnd {
 // one. Under `f . ~e` the scripted ~e parks on □f, and the wave attempts
 // ~e again (and rejects ~f, whose guard is 0). The report lists ~e once,
 // and every attempt's callback hears kParked once and, when f finally
-// occurs, kAccepted once.
+// occurs, kAccepted once. A joining attempt is not a new park: sched.parks
+// stays at 1, and no message is sent for it.
 TEST(ClosureWaveTest, RepeatedAttemptJoinsItsParkedEntry) {
   WorkflowContext ctx;
   auto parsed = ParseWorkflow(&ctx, R"(
@@ -435,14 +438,22 @@ workflow join {
 }
 )");
   ASSERT_TRUE(parsed.ok()) << parsed.status();
+  obs::MetricsRegistry metrics;
+  GuardSchedulerOptions options;
+  options.metrics = &metrics;
   SchedWorld w(&ctx, CompileWorkflowShared(&ctx, parsed.value().spec),
-               parsed.value(), 1, nullptr);
+               parsed.value(), 1, nullptr, options);
+  obs::Counter* parks = metrics.counter("sched.parks");
   const EventLiteral not_e = ctx.alphabet()->ParseLiteral("~e").value();
   std::vector<Decision> scripted, repeated;
   w.sched->Attempt(not_e, [&](Decision d) { scripted.push_back(d); });
   w.sim.Run();
+  EXPECT_EQ(parks->value(), 1u);
+  const uint64_t sent = w.sched->stats().total();
   w.sched->Close();
   w.sim.Run();
+  EXPECT_EQ(parks->value(), 1u);
+  EXPECT_EQ(w.sched->stats().total(), sent);
   EXPECT_EQ(w.sched->parked_count(), 1u);
   std::vector<ParkedDiagnosis> parked = DiagnoseParked(&ctx, w.sched.get());
   ASSERT_EQ(parked.size(), 1u);
@@ -453,6 +464,8 @@ workflow join {
   w.sim.Run();
   EXPECT_EQ(w.sched->parked_count(), 1u);
   EXPECT_EQ(repeated, std::vector<Decision>{Decision::kParked});
+  EXPECT_EQ(parks->value(), 1u);
+  EXPECT_EQ(w.sched->stats().total(), sent);
   w.sched->Attempt(ctx.alphabet()->ParseLiteral("f").value(), {});
   w.sim.Run();
   EXPECT_EQ(TraceToString(w.sched->history(), *ctx.alphabet()), "<f ~e>");

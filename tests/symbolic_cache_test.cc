@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -159,28 +160,52 @@ TEST(SymbolicCacheTest, CachedReductionIsPointerIdentical) {
 
 // ------------------------------------------ scheduler runs vs reference
 
-// A random workflow as spec text: one agent per event, each on its own
-// site, so that with network jitter announcements from different senders
-// reach an actor out of stamp order.
-std::string RandomWorkflowText(uint64_t seed, size_t symbols) {
+// What RandomWorkflowText varies besides the dependencies. The defaults
+// give each agent a site of its own and every event the default
+// attributes.
+struct RandomWorkflowOptions {
+  // Agents are spread at random over this many sites; 0 gives each agent
+  // its own site.
+  size_t sites = 0;
+  // Events are made triggerable, nondelayable and nonrejectable at random.
+  bool attributes = false;
+};
+
+// A random workflow as spec text: one agent per event, by default each on
+// its own site, so that with network jitter announcements from different
+// senders reach an actor out of stamp order.
+std::string RandomWorkflowText(uint64_t seed, size_t symbols,
+                               const RandomWorkflowOptions& options = {}) {
   WorkflowContext gen_ctx;
   for (size_t i = 0; i < symbols; ++i) {
     gen_ctx.alphabet()->Intern(StrCat("e", i));
   }
   Rng rng(seed);
-  std::string text = "workflow rnd {\n";
-  for (size_t i = 0; i < symbols; ++i) {
-    text += StrCat("  agent a", i, " @ site(", i, ");\n");
-  }
-  for (size_t i = 0; i < symbols; ++i) {
-    text += StrCat("  event e", i, " agent(a", i, ");\n");
-  }
+  std::string deps;
   size_t d = 0;
   for (const Expr* expr : RandomDeps(&gen_ctx, &rng, symbols, 2)) {
-    text += StrCat("  dep d", d++, ": ",
-                   ExprToString(expr, *gen_ctx.alphabet()), ";\n");
+    StrAppend(&deps, "  dep d", d++, ": ",
+              ExprToString(expr, *gen_ctx.alphabet()), ";\n");
   }
-  return text + "}\n";
+  // Sites and attributes are drawn after the dependencies, so the default
+  // options leave the text of every seed as it was before they existed.
+  std::string text = "workflow rnd {\n";
+  for (size_t i = 0; i < symbols; ++i) {
+    size_t site = options.sites == 0 ? i : rng.Next() % options.sites;
+    StrAppend(&text, "  agent a", i, " @ site(", site, ");\n");
+  }
+  for (size_t i = 0; i < symbols; ++i) {
+    StrAppend(&text, "  event e", i, " agent(a", i, ")");
+    std::vector<std::string> attrs;
+    if (options.attributes) {
+      if (rng.Next() % 3 == 0) attrs.push_back("triggerable");
+      if (rng.Next() % 5 == 0) attrs.push_back("nondelayable");
+      if (rng.Next() % 5 == 0) attrs.push_back("nonrejectable");
+    }
+    if (!attrs.empty()) StrAppend(&text, " attrs(", StrJoin(attrs, ", "), ")");
+    text += ";\n";
+  }
+  return text + deps + "}\n";
 }
 
 // A random attempt plan: a random subset of the events, each with a
@@ -325,6 +350,94 @@ TEST(SymbolicCacheTest, WarmContextHistoriesMatchFreshContext) {
     }
   }
   EXPECT_GT(compared, 400u);
+}
+
+// One world of the pinned-digest corpus rendered as text: `plan` attempted
+// one literal at a time and then one closure wave, each run to quiescence,
+// co-located (`nopts` null) or over a Network. The text holds the history,
+// the maximal and consistent flags, every decision each attempt heard in
+// callback order, the messages sent and the violations admitted.
+std::string DigestWorld(WorkflowContext* ctx,
+                        const CompiledWorkflowRef& compiled,
+                        const ParsedWorkflow& workflow,
+                        const std::vector<std::string>& plan, size_t sites,
+                        const NetworkOptions* nopts) {
+  std::string decisions;
+  Simulator sim;
+  std::unique_ptr<Network> network;
+  std::unique_ptr<GuardScheduler> sched;
+  if (nopts != nullptr) {
+    network = std::make_unique<Network>(&sim, sites, *nopts);
+    sched = std::make_unique<GuardScheduler>(ctx, compiled, workflow,
+                                             network.get());
+  } else {
+    sched = std::make_unique<GuardScheduler>(ctx, compiled, workflow, &sim);
+  }
+  for (size_t i = 0; i < plan.size(); ++i) {
+    auto lit = ctx->alphabet()->ParseLiteral(plan[i]);
+    CDES_CHECK(lit.ok()) << lit.status();
+    sched->Attempt(lit.value(), [&decisions, i](Decision d) {
+      StrAppend(&decisions, " ", i, ":", DecisionToString(d));
+    });
+    sim.Run();
+  }
+  sched->Close();
+  sim.Run();
+  bool maximal = sched->Undecided().empty();
+  return StrCat(TraceToString(sched->history(), *ctx->alphabet()),
+                maximal ? " maximal" : "",
+                sched->HistoryConsistent(maximal) ? " consistent" : "", " |",
+                decisions, " | ", sched->stats().total(), " msgs ",
+                sched->violations(), " violations");
+}
+
+// Behaviour pinned across refactors of the runtime: an FNV-1a digest over
+// the worlds of a seeded random corpus. Its specs carry triggerable,
+// nondelayable and nonrejectable events and put agents on shared sites;
+// its plans sometimes attempt a literal twice. Each plan runs co-located,
+// over a FIFO jittered Network and over a non-FIFO one. A change that
+// moves any history, flag, decision, message count or violation count
+// changes the digest; the constant was computed by this test before event
+// actors lost their heard-set fast path.
+TEST(SymbolicCacheTest, RandomWorldsMatchPinnedDigest) {
+  constexpr size_t kSymbols = 4;
+  constexpr size_t kSites = 2;
+  constexpr size_t kPlans = 3;
+  RandomWorkflowOptions options;
+  options.sites = kSites;
+  options.attributes = true;
+  uint64_t digest = 14695981039346656037ull;
+  size_t worlds = 0;
+  for (uint64_t seed = 1; seed <= 800; ++seed) {
+    std::string text = RandomWorkflowText(seed * 7121 + 5, kSymbols, options);
+    WorkflowContext ctx;
+    auto parsed = ParseWorkflow(&ctx, text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+    CompiledWorkflowRef compiled =
+        CompileWorkflowShared(&ctx, parsed.value().spec);
+    if (compiled->impossible()) continue;
+    Rng rng(seed * 53 + 1);
+    for (size_t k = 0; k < kPlans; ++k) {
+      std::vector<std::string> plan = RandomPlan(&rng, kSymbols);
+      if (!plan.empty() && rng.Next() % 2 == 0) {
+        plan.push_back(plan[rng.Next() % plan.size()]);
+      }
+      NetworkOptions fifo = JitteryNetwork(seed * kPlans + k);
+      NetworkOptions unordered = fifo;
+      unordered.fifo_links = false;
+      const NetworkOptions* transports[] = {nullptr, &fifo, &unordered};
+      for (const NetworkOptions* nopts : transports) {
+        std::string world = DigestWorld(&ctx, compiled, parsed.value(), plan,
+                                        kSites, nopts);
+        for (unsigned char c : world + "\n") {
+          digest = (digest ^ c) * 1099511628211ull;
+        }
+        ++worlds;
+      }
+    }
+  }
+  EXPECT_GE(worlds, 1000u);
+  EXPECT_EQ(digest, 9436000748341048789ull) << worlds << " worlds";
 }
 
 // ------------------------------------- state space vs reference walks

@@ -24,12 +24,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "common/file.h"
 #include "common/strings.h"
 #include "obs/json.h"
 #include "spec/parser.h"
@@ -134,17 +133,15 @@ int main(int argc, char** argv) {
 
   std::vector<Diagnostic> all;
   for (const std::string& path : paths) {
-    std::ifstream in(path);
-    if (!in) {
+    cdes::Result<std::string> text = cdes::ReadFile(path);
+    if (!text.ok()) {
       std::fprintf(stderr, "cdes-lint: cannot open %s\n", path.c_str());
       return 2;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
 
     // Each file gets a fresh context: symbol ids and arenas are per-spec.
     WorkflowContext ctx;
-    auto parsed = cdes::ParseWorkflows(&ctx, buffer.str(), path);
+    auto parsed = cdes::ParseWorkflows(&ctx, text.value(), path);
     if (!parsed.ok()) {
       all.push_back(ParseErrorDiagnostic(path, parsed.status().message()));
       continue;

@@ -14,12 +14,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/file.h"
 #include "common/strings.h"
 #include "obs/json.h"
 
@@ -38,11 +37,9 @@ double NumberOr(const JsonValue* v, double fallback = 0) {
 /// Re-reading from the start keeps the tailer trivial and is fine at the
 /// stream's size: one line per publisher tick.
 std::string LastLine(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string text = buffer.str();
+  cdes::Result<std::string> read = cdes::ReadFile(path);
+  if (!read.ok()) return "";
+  const std::string& text = read.value();
   size_t end = text.rfind('\n');
   if (end == std::string::npos || end == 0) return "";
   size_t start = text.rfind('\n', end - 1);
