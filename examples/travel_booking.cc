@@ -106,8 +106,6 @@ int RunEngineMode(size_t instances, size_t shards, const CliOptions& cli) {
   obs::GuardProfiler profiler(/*sample_every=*/16);
   engine::EngineOptions opts;
   opts.shards = shards;  // 0 = auto
-  // Per-shard sched.* histograms, merged into the final snapshot at Stop.
-  opts.lifecycle_metrics = true;
   if (cli.trace_path != nullptr) opts.tracer = &recorder;
   if (cli.profile) opts.profiler = &profiler;
   engine::Engine eng(spec.value(), opts);

@@ -65,10 +65,6 @@ struct EngineOptions {
   /// thread-safe (atomic record path), so one profiler shared by all shards
   /// is the intended shape.
   obs::GuardProfiler* profiler = nullptr;
-  /// Turn on per-instance lifecycle histograms in the shard registries
-  /// (sched.decision_latency_us, sched.guard_reduction_steps, ...). Off by
-  /// default: the engine hot path skips that instrumentation.
-  bool lifecycle_metrics = false;
 };
 
 /// Point-in-time view of the engine's counters, safe to take while the
@@ -96,9 +92,10 @@ struct EngineMetricsSnapshot {
   /// Percentile digest of one histogram visible to the snapshot: always
   /// engine.latency_us and engine.admission_wait_us; after Stop() also the
   /// per-shard registries merged across shards (the sched.* lifecycle
-  /// histograms when EngineOptions::lifecycle_metrics). No simulated time
-  /// passes inside an instance world, so sched.decision_latency_us reads
-  /// 0; the wall-clock figure is engine.latency_us.
+  /// histograms, sched.decision_latency_us and sched.parked_depth). No
+  /// simulated time passes inside an instance world, so
+  /// sched.decision_latency_us reads 0 (one sample per decision); the
+  /// wall-clock figure is engine.latency_us.
   struct HistogramSummary {
     std::string name;
     uint64_t count = 0;
@@ -109,10 +106,11 @@ struct EngineMetricsSnapshot {
   };
   std::vector<HistogramSummary> histograms;
 
-  /// Shard-shared symbolic-cache traffic, merged across shards. Populated
-  /// from the shard registries, which are worker-confined until Stop(): all
-  /// zero while the engine is live, real on the final (post-Stop) snapshot
-  /// and telemetry line.
+  /// Shard-shared symbolic-cache traffic, summed across shards. Populated
+  /// from the gauges each shard publishes ("guards.reduction_cache_*",
+  /// "algebra.residuation_cache_*"), which are worker-confined until
+  /// Stop(): all zero while the engine is live, real on the final
+  /// (post-Stop) snapshot and telemetry line.
   uint64_t reduction_cache_hits = 0;
   uint64_t reduction_cache_misses = 0;
   uint64_t residuation_cache_hits = 0;
@@ -216,8 +214,9 @@ class Engine {
   /// histograms always (safe mid-run), and the per-shard registries
   /// ("sched.*", "engine.wal.*") once the engine is stopped (they are
   /// worker-thread-confined while shards run). Counters and histograms add
-  /// up across shards, and so do the shards' gauges (the
-  /// "algebra.residuation_cache_*" tallies), which stay gauges. Feed the
+  /// up across shards, and so do the shards' gauges (the symbolic caches'
+  /// "guards.reduction_cache_*" and "algebra.residuation_cache_*"
+  /// tallies), which stay gauges. Feed the
   /// result to obs::PrometheusText for a scrape snapshot.
   void MergeMetricsInto(obs::MetricsRegistry* out) const;
 

@@ -77,9 +77,17 @@ void Shard::ThreadMain() {
   CDES_CHECK(parsed.ok()) << parsed.status();
   workflow_ = std::move(parsed).value();
   compiled_ = CompileWorkflowShared(ctx_.get(), workflow_.spec);
+  reduction_hits_ = metrics_.gauge("guards.reduction_cache_hits");
+  reduction_misses_ = metrics_.gauge("guards.reduction_cache_misses");
+  residuation_hits_ = metrics_.gauge("algebra.residuation_cache_hits");
+  residuation_misses_ = metrics_.gauge("algebra.residuation_cache_misses");
   if (!options_.wal_dir.empty()) {
     wal_ = std::make_unique<ShardWal>(options_.wal_dir,
                                       options_.group_commit_records);
+    wal_records_ = metrics_.counter("engine.wal.records");
+    group_commits_ = metrics_.counter("engine.wal.group_commits");
+    checkpoints_ = metrics_.counter("engine.checkpoints");
+    wal_errors_ = metrics_.counter("engine.wal.errors");
   }
 
   std::vector<std::unique_ptr<Resident>> active;
@@ -145,14 +153,16 @@ void Shard::ThreadMain() {
 }
 
 void Shard::PublishCacheGauges() {
-  // The residuator is pure algebra with raw hit/miss tallies; mirror them
-  // into gauges here so live telemetry and the post-Stop merged registry
-  // both see symbolic-cache effectiveness without obs leaking into algebra/.
+  // Both caches are pure symbolic machinery with raw hit/miss tallies;
+  // mirror them into gauges here so live telemetry and the post-Stop merged
+  // registry both see symbolic-cache effectiveness without obs leaking into
+  // temporal/ or algebra/.
+  const ReductionCache* reductions = ctx_->reduction_cache();
+  reduction_hits_->Set(static_cast<double>(reductions->hits()));
+  reduction_misses_->Set(static_cast<double>(reductions->misses()));
   const Residuator* res = ctx_->residuator();
-  metrics_.gauge("algebra.residuation_cache_hits")
-      ->Set(static_cast<double>(res->cache_hits()));
-  metrics_.gauge("algebra.residuation_cache_misses")
-      ->Set(static_cast<double>(res->cache_misses()));
+  residuation_hits_->Set(static_cast<double>(res->cache_hits()));
+  residuation_misses_->Set(static_cast<double>(res->cache_misses()));
 }
 
 std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
@@ -166,7 +176,6 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
 
   GuardSchedulerOptions sopts;
   sopts.metrics = &metrics_;
-  sopts.lifecycle_instrumentation = options_.lifecycle_metrics;
   sopts.profiler = options_.profiler;
   // Flow / trace correlation: messages inside this instance's world carry
   // the instance id as their trace id.
@@ -288,14 +297,14 @@ void Shard::SyncWal(Resident& r) {
   CDES_CHECK(r.wal_seen <= records.size());
   for (size_t i = r.wal_seen; i < records.size(); ++i) {
     wal_->Append(r.id, EventLog::RecordLine(records[i], *ctx_->alphabet()));
-    metrics_.counter("engine.wal.records")->Increment();
+    wal_records_->Increment();
   }
   r.wal_seen = records.size();
   if (wal_->ShouldFlush()) {
     // Group commit: one filesystem pass covers every resident's buffered
     // appends, not just this instance's.
     wal_->FlushAll();
-    metrics_.counter("engine.wal.group_commits")->Increment();
+    group_commits_->Increment();
   }
 }
 
@@ -319,7 +328,7 @@ void Shard::MaybeCheckpoint(Resident& r) {
       SerializeCheckpoint(r.sched->Snapshot(), *ctx_->alphabet());
   wal_->Append(r.id, EventLog::SectionText(section));
   if (Status flushed = wal_->Flush(r.id); !flushed.ok()) {
-    metrics_.counter("engine.wal.errors")->Increment();
+    wal_errors_->Increment();
     return;  // no compaction without a durable checkpoint
   }
   // Phase 2 — compact: install in memory, then atomically rewrite the file
@@ -331,10 +340,10 @@ void Shard::MaybeCheckpoint(Resident& r) {
   if (Status rewrote =
           wal_->Rewrite(r.id, r.log->SerializeOpen(*ctx_->alphabet()));
       !rewrote.ok()) {
-    metrics_.counter("engine.wal.errors")->Increment();
+    wal_errors_->Increment();
     return;  // in-memory state is still coherent; the file keeps phase 1
   }
-  metrics_.counter("engine.checkpoints")->Increment();
+  checkpoints_->Increment();
 }
 
 void Shard::Finish(Resident& r) {

@@ -85,8 +85,9 @@ class Shard {
   }
 
   /// The shard-private registry all resident schedulers report into
-  /// ("sched.*", "engine.wal.*", cache counters). Worker-thread-confined
-  /// while the shard runs: read it only after Join().
+  /// ("sched.*", "engine.wal.*", symbolic-cache gauges).
+  /// Worker-thread-confined while the shard runs: read it only after
+  /// Join().
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
@@ -116,7 +117,8 @@ class Shard {
   };
 
   void ThreadMain();
-  /// Mirrors the residuator's raw hit/miss tallies into shard gauges.
+  /// Mirrors the symbolic caches' raw hit/miss tallies (the reduction
+  /// cache's and the residuator's) into shard gauges.
   void PublishCacheGauges();
   /// Builds the instance world for a kRun/kRecover command.
   std::unique_ptr<Resident> AdmitInstance(EngineCommand cmd);
@@ -149,6 +151,17 @@ class Shard {
   CompiledWorkflowRef compiled_;
   std::unique_ptr<ShardWal> wal_;
   obs::MetricsRegistry metrics_;
+  /// Handles into metrics_, resolved once by ThreadMain: the cache gauges
+  /// PublishCacheGauges sets, and the WAL phases' counters (null without a
+  /// wal_dir).
+  obs::Gauge* reduction_hits_ = nullptr;
+  obs::Gauge* reduction_misses_ = nullptr;
+  obs::Gauge* residuation_hits_ = nullptr;
+  obs::Gauge* residuation_misses_ = nullptr;
+  obs::Counter* wal_records_ = nullptr;
+  obs::Counter* group_commits_ = nullptr;
+  obs::Counter* checkpoints_ = nullptr;
+  obs::Counter* wal_errors_ = nullptr;
 
   // ---- Mailbox ----
   std::mutex mu_;

@@ -2,35 +2,18 @@
 #define CDES_OBS_OBS_H_
 
 // Umbrella for the runtime observability layer: tracing + metrics handles
-// that the schedulers, network, simulator, and actors thread through their
-// option structs. Everything here is optional — a null TraceRecorder and a
-// null MetricsRegistry cost one branch per instrumentation site.
+// that the schedulers, network and simulator thread through their option
+// structs. Everything here is optional — a null TraceRecorder and a null
+// MetricsRegistry cost one branch per instrumentation site.
 
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 
 namespace cdes {
-class Alphabet;
 class Simulator;
 }  // namespace cdes
 
 namespace cdes::obs {
-
-/// Pre-resolved instrumentation handles handed to each EventActor by its
-/// scheduler, so the actor hot path never does registry lookups. All
-/// pointers null ⇒ the actor records nothing beyond its normal work.
-struct ActorObs {
-  TraceRecorder* tracer = nullptr;
-  /// Names literals in span labels; must outlive the actors when set.
-  const Alphabet* alphabet = nullptr;
-  /// Timestamps actor-side instants; must outlive the actors when set.
-  const Simulator* sim = nullptr;
-  /// ReduceGuard applications per CurrentGuard evaluation.
-  Histogram* reduction_steps = nullptr;
-  /// Parked-queue depth observed at each park.
-  Histogram* parked_depth = nullptr;
-  Counter* parks = nullptr;
-};
 
 /// Registers `sim` as the process's reference clock for log correlation:
 /// subsequent CDES_LOG lines carry "@<tick>us" so operators can line logs

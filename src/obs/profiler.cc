@@ -11,13 +11,7 @@
 namespace cdes::obs {
 
 SymbolicCacheStats CacheStatsFrom(const MetricsRegistry& metrics) {
-  // The scheduler exports the reduction tallies as counters; engine shards
-  // and bench snapshots republish both caches as gauges. Accept either.
   auto value = [&metrics](std::string_view name) -> uint64_t {
-    auto c = metrics.counters().find(name);
-    if (c != metrics.counters().end() && c->second->value() > 0) {
-      return c->second->value();
-    }
     auto g = metrics.gauges().find(name);
     return g == metrics.gauges().end()
                ? 0

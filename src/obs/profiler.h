@@ -67,9 +67,9 @@ struct SymbolicCacheStats {
 class MetricsRegistry;
 
 /// Reads the symbolic-cache tallies a running system exported into
-/// `metrics` — the `guards.reduction_cache_*` counters the scheduler
-/// attaches and the `algebra.residuation_cache_*` gauges the engine shards
-/// publish. Absent entries read as zero.
+/// `metrics`: the `guards.reduction_cache_*` and
+/// `algebra.residuation_cache_*` gauges the engine shards (and bench
+/// snapshots) publish. Absent entries read as zero.
 SymbolicCacheStats CacheStatsFrom(const MetricsRegistry& metrics);
 
 /// Per-guard-site cost accounting keyed by (dependency, event), with spec

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "algebra/semantics.h"
-#include "sim/simulator.h"
+#include "sched/scheduler_obs.h"
 #include "temporal/guard_needs.h"
 #include "temporal/reduction.h"
 
@@ -40,14 +40,13 @@ EventActor::EventActor(ActorHost* host, SymbolId symbol, int site,
                        const Guard* positive_guard,
                        const Guard* negative_guard,
                        const EventAttributes& positive_attrs,
-                       const EventAttributes& negative_attrs,
-                       const obs::ActorObs* obs)
+                       const EventAttributes& negative_attrs)
     : host_(host), symbol_(symbol), site_(site),
       positive_guard_(positive_guard), negative_guard_(negative_guard),
       positive_attrs_(positive_attrs), negative_attrs_(negative_attrs),
-      obs_(obs), cache_(host->reduction_cache()),
-      flat_(host->flat_evaluator()) {
-  CDES_DCHECK(cache_ != nullptr && flat_ != nullptr);
+      cache_(host->reduction_cache()), flat_(host->flat_evaluator()),
+      lifecycle_(host->lifecycle()) {
+  CDES_DCHECK(cache_ != nullptr && flat_ != nullptr && lifecycle_ != nullptr);
 }
 
 const Guard* EventActor::HeardResidual(EventLiteral literal) const {
@@ -79,9 +78,6 @@ void EventActor::TruncateFoldChains(size_t idx) {
 }
 
 const Guard* EventActor::CurrentGuard(EventLiteral literal) const {
-  if (obs_ != nullptr && obs_->reduction_steps != nullptr) {
-    obs_->reduction_steps->Observe(heard_.size() + promises_.size());
-  }
   size_t slot = literal.complemented() ? 1 : 0;
   if (current_memo_version_[slot] == version_) return current_memo_[slot];
   const Guard* g = HeardResidual(literal);
@@ -241,8 +237,9 @@ const Guard* EventActor::DischargeDiamonds(const Guard* g) const {
 void EventActor::Attempt(EventLiteral literal, AttemptCallback done) {
   CDES_CHECK_EQ(literal.symbol(), symbol_);
   if (decided_) {
-    if (done) done(literal == *decided_ ? Decision::kAccepted
-                                        : Decision::kRejected);
+    Answer(literal,
+           literal == *decided_ ? Decision::kAccepted : Decision::kRejected,
+           done);
     return;
   }
   // One entry per literal: an attempt of a literal already parked (a
@@ -273,41 +270,36 @@ void EventActor::Attempt(EventLiteral literal, AttemptCallback done) {
   const Guard* g = nullptr;
   if (Firable(literal, &g)) {
     Occur(literal);
-    if (done) done(Decision::kAccepted);
+    Answer(literal, Decision::kAccepted, done);
     return;
   }
   if (g->IsFalse() || !Attrs(literal).delayable) {
-    Refuse(literal, std::move(done));
+    Answer(literal, Refuse(literal), done);
     return;
   }
   if (done) done(Decision::kParked);
-  parked_.push_back(Parked{literal, std::move(done)});
-  if (obs_ != nullptr) {
-    if (obs_->parks != nullptr) {
-      obs_->parks->Increment();
-      obs_->parked_depth->Observe(parked_.size());
-    }
-    if (obs_->tracer != nullptr && obs_->alphabet != nullptr &&
-        obs_->sim != nullptr) {
-      obs_->tracer->Instant(obs::SpanCategory::kLifecycle,
-                            "park " + obs_->alphabet->LiteralName(literal),
-                            obs_->sim->now(), site_, symbol_);
-    }
-  }
+  SimTime since = lifecycle_->now();
+  uint64_t window = lifecycle_->Park(literal, parked_.size() + 1, site_);
+  parked_.push_back(Parked{literal, std::move(done), since, window});
   EmitNeeds(literal, g);
   Reevaluate();
 }
 
-void EventActor::Refuse(EventLiteral literal, AttemptCallback done) {
-  if (Attrs(literal).rejectable) {
-    if (done) done(Decision::kRejected);
-    return;
-  }
+Decision EventActor::Refuse(EventLiteral literal) {
+  if (Attrs(literal).rejectable) return Decision::kRejected;
   // §3.3: "The scheduler has no choice but to accept nonrejectable events
   // like abort."
   host_->RecordViolation(literal);
   Occur(literal);
-  if (done) done(Decision::kAccepted);
+  return Decision::kAccepted;
+}
+
+void EventActor::Answer(EventLiteral literal, Decision d,
+                        const AttemptCallback& done, const Parked* entry) {
+  lifecycle_->Decided(literal, d, site_, entry != nullptr ? entry->window : 0);
+  lifecycle_->ObserveLatency(entry != nullptr ? entry->since
+                                              : lifecycle_->now());
+  if (done) done(d);
 }
 
 std::vector<EventLiteral> EventActor::ParkedLiterals() const {
@@ -385,9 +377,10 @@ void EventActor::Occur(EventLiteral literal) {
   // the opposite literal can never occur.
   std::vector<Parked> parked = std::move(parked_);
   parked_.clear();
-  for (Parked& p : parked) {
-    if (!p.done) continue;
-    p.done(p.literal == literal ? Decision::kAccepted : Decision::kRejected);
+  for (const Parked& p : parked) {
+    Answer(p.literal,
+           p.literal == literal ? Decision::kAccepted : Decision::kRejected,
+           p.done, &p);
   }
   pending_requests_.clear();
 }
@@ -404,14 +397,14 @@ void EventActor::Reevaluate() {
         Parked p = std::move(parked_[i]);
         parked_.erase(parked_.begin() + i);
         Occur(p.literal);
-        if (p.done) p.done(Decision::kAccepted);
+        Answer(p.literal, Decision::kAccepted, p.done, &p);
         changed = true;
         break;  // decided_: remaining parked resolved by Occur
       }
       if (g->IsFalse()) {
         Parked p = std::move(parked_[i]);
         parked_.erase(parked_.begin() + i);
-        Refuse(p.literal, std::move(p.done));
+        Answer(p.literal, Refuse(p.literal), p.done, &p);
         changed = true;
         break;
       }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "algebra/residuation.h"
-#include "obs/obs.h"
 #include "obs/profiler.h"
 #include "runtime/messages.h"
 #include "sched/scheduler.h"
@@ -18,6 +17,8 @@
 #include "temporal/reduction.h"
 
 namespace cdes {
+
+class SchedulerObs;
 
 /// Services an EventActor needs from its owning scheduler: message
 /// transport, occurrence stamping, bookkeeping, and attribute lookup.
@@ -58,6 +59,10 @@ class ActorHost {
   /// decides firability. Both must be non-null.
   virtual ReductionCache* reduction_cache() = 0;
   virtual FlatEvaluator* flat_evaluator() = 0;
+
+  /// Where the actor records each decision it makes (attempts answered,
+  /// parks); non-null.
+  virtual SchedulerObs* lifecycle() = 0;
 };
 
 /// Per-actor profiling attachment, built by the owning scheduler when a
@@ -90,19 +95,20 @@ struct GuardProfile {
 /// network reorders announcements.
 class EventActor {
  public:
-  /// `obs` (optional) carries pre-resolved instrumentation handles from the
-  /// owning scheduler; it must outlive the actor when non-null.
   EventActor(ActorHost* host, SymbolId symbol, int site,
              const Guard* positive_guard, const Guard* negative_guard,
              const EventAttributes& positive_attrs,
-             const EventAttributes& negative_attrs,
-             const obs::ActorObs* obs = nullptr);
+             const EventAttributes& negative_attrs);
 
   EventActor(const EventActor&) = delete;
   EventActor& operator=(const EventActor&) = delete;
 
-  /// A co-located task agent attempts `literal`. An attempt of a literal
-  /// that is already parked joins that entry without evaluating anything.
+  /// A co-located task agent, or the runtime itself (closure, triggers,
+  /// obligations), attempts `literal`. The actor records each final answer
+  /// it gives as one decision, at once or when the parked entry resolves.
+  /// An attempt of a literal that is already parked joins that entry
+  /// without evaluating anything; the entry's answer is its answer, so it
+  /// is neither a park nor a decision of its own.
   void Attempt(EventLiteral literal, AttemptCallback done);
 
   /// Recovery: marks `literal` as having occurred without stamping,
@@ -163,6 +169,10 @@ class EventActor {
   struct Parked {
     EventLiteral literal;
     AttemptCallback done;
+    /// When it parked; its decision latency runs from here.
+    SimTime since;
+    /// Its parked trace window (SchedulerObs::Park).
+    uint64_t window;
   };
 
   /// A deferred trigger obligation (promise-backed, see
@@ -201,10 +211,16 @@ class EventActor {
   /// attempts of both polarities.
   void Occur(EventLiteral literal);
 
-  /// Answers an attempt of `literal` that may not wait (its guard reduced
-  /// to 0, or it is nondelayable): rejected when rejectable, otherwise
-  /// admitted as a violation.
-  void Refuse(EventLiteral literal, AttemptCallback done);
+  /// Settles an attempt of `literal` that may not wait (its guard reduced
+  /// to 0, or it is nondelayable) and returns its answer: rejected when
+  /// rejectable, otherwise admitted as a violation.
+  Decision Refuse(EventLiteral literal);
+
+  /// Gives an attempt of `literal` its final answer `d` and records it as
+  /// one decision; `entry` is the parked entry the answer resolves, null
+  /// for an attempt answered at once.
+  void Answer(EventLiteral literal, Decision d, const AttemptCallback& done,
+              const Parked* entry = nullptr);
 
   /// Re-evaluates parked attempts and pending promise requests after any
   /// state change; loops to a fixpoint.
@@ -233,12 +249,12 @@ class EventActor {
   const Guard* negative_guard_;
   EventAttributes positive_attrs_;
   EventAttributes negative_attrs_;
-  const obs::ActorObs* obs_;
   const GuardProfile* profile_ = nullptr;
   /// Host capabilities resolved once at construction (virtual calls off the
   /// hot path).
   ReductionCache* cache_;
   FlatEvaluator* flat_;
+  SchedulerObs* lifecycle_;
 
   std::optional<EventLiteral> decided_;
   /// (stamp, literal) occurrences heard, kept sorted by stamp.

@@ -60,8 +60,8 @@ AutomataScheduler::AutomataScheduler(WorkflowContext* ctx,
     const AgentDecl* agent = workflow.FindAgent(decl.agent);
     sites_[decl.symbol] = agent != nullptr ? agent->site : 0;
   }
-  cobs_.Init(metrics, tracer, ctx_->alphabet(), network_->sim(), center_site_,
-             name(), sites_);
+  obs_.Init(metrics, tracer, ctx_->alphabet(), network_->sim());
+  obs_.NameCenter(center_site_, name(), sites_);
 }
 
 size_t AutomataScheduler::total_states() const {
@@ -83,44 +83,49 @@ int AutomataScheduler::SiteOf(SymbolId symbol) const {
 
 void AutomataScheduler::Attempt(EventLiteral literal, AttemptCallback done) {
   int agent_site = SiteOf(literal.symbol());
-  cobs_.CountAttempt(literal, agent_site);
-  if (done) done = cobs_.Wrap(literal, std::move(done));
+  obs_.CountAttempt(literal, agent_site);
   network_->Send(agent_site, center_site_, message_bytes_,
-                 [this, literal, done = std::move(done), agent_site] {
-                   HandleAttempt(literal, done, agent_site);
+                 [this, attempt = Parked{literal, std::move(done), agent_site,
+                                         obs_.now()}]() mutable {
+                   HandleAttempt(std::move(attempt));
                  });
 }
 
-void AutomataScheduler::Reply(int agent_site, const AttemptCallback& done,
-                              Decision decision) {
-  cobs_.CountDecision(decision);
-  if (!done) return;
-  network_->Send(center_site_, agent_site, message_bytes_,
-                 [done, decision] { done(decision); });
+void AutomataScheduler::Reply(const Parked& attempt, Decision decision) {
+  bool is_final = decision != Decision::kParked;
+  if (is_final) {
+    obs_.Decided(attempt.literal, decision, center_site_, attempt.window);
+  }
+  if (!attempt.done) return;
+  network_->Send(center_site_, attempt.agent_site, message_bytes_,
+                 [this, done = attempt.done, decision, is_final,
+                  sent = attempt.sent] {
+                   if (is_final) obs_.ObserveLatency(sent);
+                   done(decision);
+                 });
 }
 
-void AutomataScheduler::HandleAttempt(EventLiteral literal,
-                                      AttemptCallback done, int agent_site) {
+void AutomataScheduler::HandleAttempt(Parked attempt) {
+  EventLiteral literal = attempt.literal;
   auto decided = decided_.find(literal.symbol());
   if (decided != decided_.end()) {
-    Reply(agent_site, done,
-          decided->second == literal ? Decision::kAccepted
-                                     : Decision::kRejected);
+    Reply(attempt, decided->second == literal ? Decision::kAccepted
+                                              : Decision::kRejected);
     return;
   }
   if (CanAcceptNow(literal)) {
     ApplyOccurrence(literal);
-    Reply(agent_site, done, Decision::kAccepted);
+    Reply(attempt, Decision::kAccepted);
     Reevaluate();
     return;
   }
   if (!CanEverAccept(literal)) {
-    Reply(agent_site, done, Decision::kRejected);
+    Reply(attempt, Decision::kRejected);
     return;
   }
-  Reply(agent_site, done, Decision::kParked);
-  parked_.push_back(Parked{literal, std::move(done), agent_site});
-  cobs_.OnParked(parked_.size());
+  attempt.window = obs_.Park(literal, parked_.size() + 1, center_site_);
+  Reply(attempt, Decision::kParked);
+  parked_.push_back(std::move(attempt));
 }
 
 bool AutomataScheduler::CanAcceptNow(EventLiteral literal) const {
@@ -158,7 +163,7 @@ bool AutomataScheduler::CanEverAccept(EventLiteral literal) const {
 }
 
 void AutomataScheduler::ApplyOccurrence(EventLiteral literal) {
-  cobs_.CountOccurrence(literal);
+  obs_.CountOccurrence(literal, center_site_, history_.size());
   decided_[literal.symbol()] = literal;
   history_.push_back(literal);
   for (size_t i = 0; i < automata_.size(); ++i) {
@@ -177,9 +182,8 @@ void AutomataScheduler::Reevaluate() {
       if (decided != decided_.end()) {
         Parked p = std::move(parked_[i]);
         parked_.erase(parked_.begin() + i);
-        Reply(p.agent_site, p.done,
-              decided->second == literal ? Decision::kAccepted
-                                         : Decision::kRejected);
+        Reply(p, decided->second == literal ? Decision::kAccepted
+                                            : Decision::kRejected);
         changed = true;
         break;
       }
@@ -187,14 +191,14 @@ void AutomataScheduler::Reevaluate() {
         Parked p = std::move(parked_[i]);
         parked_.erase(parked_.begin() + i);
         ApplyOccurrence(literal);
-        Reply(p.agent_site, p.done, Decision::kAccepted);
+        Reply(p, Decision::kAccepted);
         changed = true;
         break;
       }
       if (!CanEverAccept(literal)) {
         Parked p = std::move(parked_[i]);
         parked_.erase(parked_.begin() + i);
-        Reply(p.agent_site, p.done, Decision::kRejected);
+        Reply(p, Decision::kRejected);
         changed = true;
         break;
       }

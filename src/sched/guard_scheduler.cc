@@ -1,5 +1,7 @@
 #include "sched/guard_scheduler.h"
 
+#include <limits>
+
 #include "algebra/semantics.h"
 #include "common/strings.h"
 
@@ -53,41 +55,12 @@ GuardScheduler::GuardScheduler(WorkflowContext* ctx,
 
 void GuardScheduler::Init(const ParsedWorkflow& workflow,
                           CompiledWorkflowRef compiled) {
-  const GuardSchedulerOptions& options = options_;
-  if (options.metrics != nullptr) {
-    metrics_ = options.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  tracer_ = options.tracer;
-  observe_lifecycle_ = options.lifecycle_instrumentation &&
-                       (options.metrics != nullptr || tracer_ != nullptr);
-  sent_announcements_ = metrics_->counter("sched.msgs.announce");
-  sent_promises_ = metrics_->counter("sched.msgs.promise");
-  sent_promise_requests_ = metrics_->counter("sched.msgs.promise_request");
-  sent_triggers_ = metrics_->counter("sched.msgs.trigger");
-  attempts_ = metrics_->counter("sched.attempts");
-  occurrences_ = metrics_->counter("sched.occurrences");
-  violation_counter_ = metrics_->counter("sched.violations");
-  accepted_ = metrics_->counter("sched.decisions.accepted");
-  rejected_ = metrics_->counter("sched.decisions.rejected");
-  actor_obs_.tracer = tracer_;
-  actor_obs_.alphabet = ctx_->alphabet();
-  actor_obs_.sim = sim_;
-  if (observe_lifecycle_) {
-    decision_latency_ = metrics_->histogram("sched.decision_latency_us");
-    actor_obs_.reduction_steps =
-        metrics_->histogram("sched.guard_reduction_steps");
-    actor_obs_.parked_depth = metrics_->histogram("sched.parked_depth");
-    actor_obs_.parks = metrics_->counter("sched.parks");
-  }
-  if (options.metrics != nullptr) {
-    // Cache effectiveness counters land next to the sched.* metrics. The
-    // cache is per-context (per shard), so with many instance schedulers
-    // sharing a context and registry this re-binds the same counters.
-    ctx_->reduction_cache()->AttachMetrics(metrics_);
-  }
+  obs_.Init(options_.metrics, options_.tracer, ctx_->alphabet(), sim_);
+  obs::MetricsRegistry* metrics = obs_.metrics();
+  sent_announcements_ = metrics->counter("sched.msgs.announce");
+  sent_promises_ = metrics->counter("sched.msgs.promise");
+  sent_promise_requests_ = metrics->counter("sched.msgs.promise_request");
+  sent_triggers_ = metrics->counter("sched.msgs.trigger");
   Status installed = AddInstanceCompiled(std::move(compiled), workflow);
   CDES_CHECK(installed.ok()) << installed;
 }
@@ -138,7 +111,7 @@ Status GuardScheduler::AddInstanceCompiled(CompiledWorkflowRef compiled,
     EventAttributes negative;
     slot.actor = std::make_unique<EventActor>(
         this, symbol, site, compiled->GuardFor(pos),
-        compiled->GuardFor(neg_lit), attrs, negative, &actor_obs_);
+        compiled->GuardFor(neg_lit), attrs, negative);
     if (options_.profiler != nullptr) {
       // One (dependency, event) site per contribution to the compiled
       // conjunction (deduplicated profiler-wide, carrying the dependency's
@@ -158,10 +131,10 @@ Status GuardScheduler::AddInstanceCompiled(CompiledWorkflowRef compiled,
       }
       slot.actor->set_profile(&profile);
     }
-    if (tracer_ != nullptr) {
-      tracer_->NameProcess(site, StrCat("site ", site));
-      tracer_->NameLane(site, symbol,
-                        StrCat("actor ", ctx_->alphabet()->Name(symbol)));
+    if (obs::TraceRecorder* tracer = obs_.tracer(); tracer != nullptr) {
+      tracer->NameProcess(site, StrCat("site ", site));
+      tracer->NameLane(site, symbol,
+                       StrCat("actor ", ctx_->alphabet()->Name(symbol)));
     }
   }
   installed_.push_back(std::move(compiled));
@@ -174,68 +147,26 @@ const Guard* GuardScheduler::CompiledGuardOf(EventLiteral literal) const {
 }
 
 void GuardScheduler::Attempt(EventLiteral literal, AttemptCallback done) {
-  attempts_->Increment();
-  if (impossible_) {
-    // Some dependency is unsatisfiable: no event can ever be part of an
-    // acceptable computation.
-    rejected_->Increment();
-    if (done) done(Decision::kRejected);
-    return;
-  }
   EventActor* actor = FindActor(literal.symbol());
-  if (actor == nullptr) {
-    // An event no dependency mentions is not significant for coordination
-    // (§2): it occurs immediately and is not recorded. (Recording it
-    // would also break trace validity for looping tasks, whose repeated
-    // internal events are exactly the insignificant ones — §5.2.)
-    accepted_->Increment();
-    if (done) done(Decision::kAccepted);
+  int site = actor != nullptr ? actor->site() : 0;
+  obs_.CountAttempt(literal, site);
+  if (impossible_ || actor == nullptr) {
+    // Some dependency is unsatisfiable: no event can ever be part of an
+    // acceptable computation. Otherwise an event no dependency mentions is
+    // not significant for coordination (§2): it occurs immediately and is
+    // not recorded. (Recording it would also break trace validity for
+    // looping tasks, whose repeated internal events are exactly the
+    // insignificant ones — §5.2.)
+    Decision d = impossible_ ? Decision::kRejected : Decision::kAccepted;
+    obs_.Decided(literal, d, site);
+    obs_.ObserveLatency(obs_.now());
+    if (done) done(d);
     return;
   }
-  if (observe_lifecycle_) {
-    done = WrapAttempt(literal, actor->site(), std::move(done));
-  }
+  // The actor records its own answer (EventActor::Attempt).
   sim_->Schedule(0, [actor, literal, done = std::move(done)] {
     actor->Attempt(literal, done);
   });
-}
-
-AttemptCallback GuardScheduler::WrapAttempt(EventLiteral literal, int site,
-                                            AttemptCallback done) {
-  uint64_t attempt_id = ++attempt_seq_;
-  SimTime t0 = sim_->now();
-  uint64_t lane = literal.symbol();
-  std::string name = ctx_->alphabet()->LiteralName(literal);
-  if (tracer_ != nullptr) {
-    tracer_->Instant(obs::SpanCategory::kLifecycle, StrCat("attempt ", name),
-                     t0, site, lane);
-  }
-  return [this, t0, attempt_id, site, lane, name = std::move(name),
-          done = std::move(done)](Decision decision) {
-    SimTime now = sim_->now();
-    std::string park_key = StrCat("park:", attempt_id);
-    if (decision == Decision::kParked) {
-      if (tracer_ != nullptr) {
-        tracer_->BeginAsync(obs::SpanCategory::kLifecycle,
-                            StrCat("parked ", name), park_key, now, site,
-                            lane);
-      }
-    } else {
-      if (tracer_ != nullptr) {
-        tracer_->EndAsync(park_key, now, site, lane,
-                          {{"outcome", DecisionToString(decision)}});
-        tracer_->Instant(obs::SpanCategory::kLifecycle,
-                         StrCat(decision == Decision::kAccepted
-                                    ? "enabled "
-                                    : "rejected ",
-                                name),
-                         now, site, lane);
-      }
-      if (decision_latency_ != nullptr) decision_latency_->Observe(now - t0);
-      (decision == Decision::kAccepted ? accepted_ : rejected_)->Increment();
-    }
-    if (done) done(decision);
-  };
 }
 
 const Guard* GuardScheduler::CurrentGuardOf(EventLiteral literal) const {
@@ -335,28 +266,29 @@ void GuardScheduler::CountMessage(RuntimeMessageKind kind) {
 
 void GuardScheduler::TraceSend(SymbolId from, SymbolId target,
                                const RuntimeMessage& msg) {
+  obs::TraceRecorder* tracer = obs_.tracer();
   const Alphabet& alphabet = *ctx_->alphabet();
   int src_site = FindActor(from)->site();
   SimTime now = sim_->now();
   if (msg.span_id != 0) {
     // Flow arrow origin; TraceDeliver emits the matching end at the
     // destination when the message finally lands.
-    tracer_->FlowStart(obs::SpanCategory::kMessage, MessageKindName(msg.kind),
-                       msg.span_id, now, src_site, from);
+    tracer->FlowStart(obs::SpanCategory::kMessage, MessageKindName(msg.kind),
+                      msg.span_id, now, src_site, from);
   }
   switch (msg.kind) {
     case RuntimeMessageKind::kAnnounce:
     case RuntimeMessageKind::kTrigger:
-      tracer_->Instant(obs::SpanCategory::kMessage,
-                       StrCat(MessageKindName(msg.kind), " ",
-                              alphabet.LiteralName(msg.literal)),
-                       now, src_site, from,
-                       {{"to", alphabet.Name(target)}});
+      tracer->Instant(obs::SpanCategory::kMessage,
+                      StrCat(MessageKindName(msg.kind), " ",
+                             alphabet.LiteralName(msg.literal)),
+                      now, src_site, from,
+                      {{"to", alphabet.Name(target)}});
       return;
     case RuntimeMessageKind::kRequestPromise:
       // Request → grant window: opened here, closed when the owner of the
       // needed literal sends back the matching kPromise.
-      tracer_->BeginAsync(
+      tracer->BeginAsync(
           obs::SpanCategory::kPromise,
           StrCat("promise_request ", alphabet.LiteralName(msg.literal),
                  " for ", alphabet.LiteralName(msg.requester)),
@@ -364,29 +296,30 @@ void GuardScheduler::TraceSend(SymbolId from, SymbolId target,
           src_site, from, {{"to", alphabet.Name(target)}});
       return;
     case RuntimeMessageKind::kPromise:
-      tracer_->EndAsync(
+      tracer->EndAsync(
           StrCat("preq:", alphabet.LiteralName(msg.literal), ":", target),
           now, src_site, from);
-      tracer_->Instant(obs::SpanCategory::kPromise,
-                       StrCat("promise ", alphabet.LiteralName(msg.literal)),
-                       now, src_site, from,
-                       {{"to", alphabet.Name(target)}});
+      tracer->Instant(obs::SpanCategory::kPromise,
+                      StrCat("promise ", alphabet.LiteralName(msg.literal)),
+                      now, src_site, from,
+                      {{"to", alphabet.Name(target)}});
       return;
   }
 }
 
 void GuardScheduler::TraceDeliver(const RuntimeMessage& msg,
                                   const EventActor* to) {
-  if (tracer_ == nullptr || msg.span_id == 0) return;
+  obs::TraceRecorder* tracer = obs_.tracer();
+  if (tracer == nullptr || msg.span_id == 0) return;
   SimTime now = sim_->now();
-  tracer_->Instant(obs::SpanCategory::kMessage,
-                   StrCat("assimilate ",
-                          ctx_->alphabet()->LiteralName(msg.literal)),
-                   now, to->site(), to->symbol(),
-                   {{"kind", MessageKindName(msg.kind)},
-                    {"trace", StrCat(msg.trace_id)}});
-  tracer_->FlowEnd(obs::SpanCategory::kMessage, MessageKindName(msg.kind),
-                   msg.span_id, now, to->site(), to->symbol());
+  tracer->Instant(obs::SpanCategory::kMessage,
+                  StrCat("assimilate ",
+                         ctx_->alphabet()->LiteralName(msg.literal)),
+                  now, to->site(), to->symbol(),
+                  {{"kind", MessageKindName(msg.kind)},
+                   {"trace", StrCat(msg.trace_id)}});
+  tracer->FlowEnd(obs::SpanCategory::kMessage, MessageKindName(msg.kind),
+                  msg.span_id, now, to->site(), to->symbol());
 }
 
 void GuardScheduler::Broadcast(SymbolId from, const RuntimeMessage& msg) {
@@ -406,7 +339,7 @@ void GuardScheduler::SendTo(SymbolId from, SymbolId target,
 void GuardScheduler::Send(SymbolId from, int src_site, EventActor* to,
                           const RuntimeMessage& msg) {
   CountMessage(msg.kind);
-  if (tracer_ == nullptr) {
+  if (obs_.tracer() == nullptr) {
     Deliver(src_site, to->site(), [to, msg] { to->Receive(msg); });
     return;
   }
@@ -442,14 +375,8 @@ void GuardScheduler::RecordOccurrence(EventLiteral literal,
   if (options_.durable_log != nullptr) {
     options_.durable_log->Append(EventLog::Record{stamp, literal});
   }
-  occurrences_->Increment();
-  if (tracer_ != nullptr) {
-    const EventActor* actor = FindActor(literal.symbol());
-    tracer_->Instant(obs::SpanCategory::kLifecycle,
-                     StrCat("occur ", ctx_->alphabet()->LiteralName(literal)),
-                     stamp.time, actor->site(), literal.symbol(),
-                     {{"seq", StrCat(stamp.seq)}});
-  }
+  obs_.CountOccurrence(literal, FindActor(literal.symbol())->site(),
+                       stamp.seq);
   history_.push_back(literal);
   for (const auto& listener : listeners_) listener(literal);
 }
@@ -459,10 +386,10 @@ Status GuardScheduler::Recover(const EventLog& log) {
     return Status::FailedPrecondition(
         "Recover must run on a fresh scheduler");
   }
-  metrics_->counter("sched.recovered_records")
+  obs_.metrics()->counter("sched.recovered_records")
       ->Increment(log.records().size());
-  if (tracer_ != nullptr) {
-    tracer_->Complete(obs::SpanCategory::kRecovery, "recovery replay",
+  if (obs_.tracer() != nullptr) {
+    obs_.tracer()->Complete(obs::SpanCategory::kRecovery, "recovery replay",
                       sim_->now(), 0, 0, 0,
                       {{"records", StrCat(log.records().size())},
                        {"checkpointed",
@@ -477,7 +404,15 @@ Status GuardScheduler::Recover(const EventLog& log) {
                                   log.checkpoint()->payload);
     if (!parsed.ok()) return parsed.status();
     const CheckpointState& state = parsed.value();
-    metrics_->counter("sched.recovered_from_checkpoint")->Increment();
+    obs_.metrics()->counter("sched.recovered_from_checkpoint")->Increment();
+    // Every covered record decided one symbol, so the section's count is
+    // the restored history's length (and the log's record total stays
+    // small).
+    if (state.history.size() != log.checkpoint()->covered) {
+      return Status::InvalidArgument(
+          StrCat("checkpoint covers ", log.checkpoint()->covered,
+                 " records but restores ", state.history.size()));
+    }
     for (EventLiteral literal : state.history) {
       EventActor* actor = FindActor(literal.symbol());
       if (actor == nullptr) {
@@ -527,7 +462,23 @@ Status GuardScheduler::Recover(const EventLog& log) {
     }
     actor->RestoreOccurrence(record.literal);
     history_.push_back(record.literal);
-    if (record.stamp.seq >= next_seq_) next_seq_ = record.stamp.seq + 1;
+    if (record.stamp.seq >= next_seq_) {
+      if (record.stamp.seq == std::numeric_limits<uint64_t>::max()) {
+        return Status::InvalidArgument("log stamp sequence is exhausted");
+      }
+      next_seq_ = record.stamp.seq + 1;
+    }
+  }
+  // Untrusted stamps again: the stamps issued from here on must sort after
+  // the last logged one (the instance clock resumes at its time), and every
+  // undecided symbol may still draw one. Only a checkpoint can break the
+  // first: its payload's sequence need not pass its section's last stamp.
+  if (log.total_records() > 0 && next_seq_ <= log.last_stamp().seq) {
+    return Status::InvalidArgument(
+        "checkpoint stamp sequence does not pass its last covered stamp");
+  }
+  if (Undecided().size() > std::numeric_limits<uint64_t>::max() - next_seq_) {
+    return Status::InvalidArgument("log stamp sequence is exhausted");
   }
   // Pass 2: replay suffix announcements synchronously, in stamp order, so
   // every actor's knowledge (and hence reduced guards) matches the

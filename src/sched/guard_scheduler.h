@@ -13,6 +13,7 @@
 #include "runtime/event_actor.h"
 #include "runtime/event_log.h"
 #include "runtime/reliable_transport.h"
+#include "sched/scheduler_obs.h"
 #include "sim/network.h"
 #include "spec/ast.h"
 
@@ -25,9 +26,10 @@ struct GuardSchedulerOptions {
   /// announced; GuardScheduler::Recover replays such a log after a crash.
   EventLog* durable_log = nullptr;
   /// When set, "sched.*" counters and histograms report into this registry;
-  /// otherwise a private registry backs stats(). Installing a registry (or
-  /// a tracer) also enables the per-attempt lifecycle instrumentation
-  /// (decision latency, parked depth, guard-reduction steps).
+  /// otherwise a private registry backs stats(). The lifecycle counters
+  /// (attempts, decisions, parks, occurrences) are recorded either way;
+  /// installing a registry (or a tracer) adds the decision-latency and
+  /// parked-depth histograms (SchedulerObs).
   obs::MetricsRegistry* metrics = nullptr;
   /// When set, records event-lifecycle spans (attempt → parked →
   /// enabled/rejected), occurrence instants, per-kind protocol sends, and
@@ -48,12 +50,9 @@ struct GuardSchedulerOptions {
   /// delivery into one flow arrow. The engine sets this to the workflow
   /// instance id.
   uint64_t trace_id = 0;
-  /// Per-attempt lifecycle instrumentation (decision-latency histogram,
-  /// parked spans) costs one allocation per attempt; it is enabled whenever
-  /// a registry or tracer is installed. Clearing this keeps the cheap
-  /// counters but skips the per-attempt wrapping — the multi-instance
-  /// engine does so on its throughput path, where thousands of instance
-  /// schedulers share one shard registry.
+  /// Has no effect: the lifecycle metrics are recorded where each
+  /// decision is made, on the one path. Kept for callers that still set
+  /// it.
   bool lifecycle_instrumentation = true;
 };
 
@@ -150,8 +149,8 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// Message-kind counters, read out of the metrics registry.
   GuardSchedulerStats stats() const;
   /// The registry the "sched.*" metrics report into (installed or private).
-  obs::MetricsRegistry* metrics() const { return metrics_; }
-  obs::TraceRecorder* tracer() const { return tracer_; }
+  obs::MetricsRegistry* metrics() const { return obs_.metrics(); }
+  obs::TraceRecorder* tracer() const { return obs_.tracer(); }
   /// The guard profiler evaluations report into, or nullptr.
   obs::GuardProfiler* profiler() const { return options_.profiler; }
   /// The simulator attempts and messages run on (the stamp clock).
@@ -221,7 +220,7 @@ class GuardScheduler : public Scheduler, public ActorHost {
   void RecordOccurrence(EventLiteral literal, OccurrenceStamp stamp) override;
   void RecordViolation(EventLiteral) override {
     ++violations_;
-    violation_counter_->Increment();
+    obs_.CountViolation();
   }
   bool MayTrigger(EventLiteral literal) const override;
   bool PromisesEnabled() const override { return options_.enable_promises; }
@@ -231,6 +230,7 @@ class GuardScheduler : public Scheduler, public ActorHost {
     return ctx_->reduction_cache();
   }
   FlatEvaluator* flat_evaluator() override { return ctx_->flat_evaluator(); }
+  SchedulerObs* lifecycle() override { return &obs_; }
 
  private:
   /// One installed symbol: its actor and the compiled table it came from
@@ -243,10 +243,6 @@ class GuardScheduler : public Scheduler, public ActorHost {
   /// Shared constructor body: resolves metric handles and installs the
   /// first instance.
   void Init(const ParsedWorkflow& workflow, CompiledWorkflowRef compiled);
-  /// Wraps an attempt callback with lifecycle tracing and decision-latency
-  /// accounting (only called when observe_lifecycle_).
-  AttemptCallback WrapAttempt(EventLiteral literal, int site,
-                              AttemptCallback done);
   void CountMessage(RuntimeMessageKind kind);
   /// Counts, traces and delivers one protocol message to `to`.
   void Send(SymbolId from, int src_site, EventActor* to,
@@ -293,25 +289,14 @@ class GuardScheduler : public Scheduler, public ActorHost {
   size_t violations_ = 0;
 
   // ---- Observability (see docs/OBSERVABILITY.md) ----
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TraceRecorder* tracer_ = nullptr;
-  /// True when an explicit registry or tracer is installed: enables the
-  /// per-attempt wrapping that costs an allocation per attempt.
-  bool observe_lifecycle_ = false;
-  obs::ActorObs actor_obs_;
+  /// The lifecycle metrics and trace; the actors record their decisions
+  /// here (ActorHost::lifecycle).
+  SchedulerObs obs_;
   /// Message-kind counters (always on; they replace the old stats_ struct).
   obs::Counter* sent_announcements_ = nullptr;
   obs::Counter* sent_promises_ = nullptr;
   obs::Counter* sent_promise_requests_ = nullptr;
   obs::Counter* sent_triggers_ = nullptr;
-  obs::Counter* attempts_ = nullptr;
-  obs::Counter* occurrences_ = nullptr;
-  obs::Counter* violation_counter_ = nullptr;
-  obs::Counter* accepted_ = nullptr;
-  obs::Counter* rejected_ = nullptr;
-  obs::Histogram* decision_latency_ = nullptr;
-  uint64_t attempt_seq_ = 0;
   /// Span-id generator for causal trace contexts (0 = unstamped).
   uint64_t next_span_id_ = 0;
 };

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "guards/workflow.h"
-#include "sched/central_obs.h"
+#include "sched/scheduler_obs.h"
 #include "sched/scheduler.h"
 #include "sim/network.h"
 #include "spec/ast.h"
@@ -32,10 +32,10 @@ namespace cdes {
 /// dependency; they realize different subsets of the acceptable traces.
 class ResiduationScheduler : public Scheduler {
  public:
-  /// `metrics`/`tracer` (optional) install the observability layer: "sched.*"
-  /// counters, decision-latency histograms, and lifecycle spans, same
-  /// taxonomy as GuardScheduler (see docs/OBSERVABILITY.md). When neither is
-  /// given, a private registry backs the counters at no extra cost.
+  /// `metrics`/`tracer` (optional) install the observability layer: the
+  /// "sched.*" lifecycle metrics and spans every scheduler records
+  /// (SchedulerObs, docs/OBSERVABILITY.md). When neither is given, a
+  /// private registry backs the counters.
   ResiduationScheduler(WorkflowContext* ctx, const ParsedWorkflow& workflow,
                        Network* network, int center_site = 0,
                        size_t message_bytes = 48,
@@ -55,25 +55,33 @@ class ResiduationScheduler : public Scheduler {
   const Expr* ResidualOf(size_t index) const { return residuals_[index]; }
   size_t violations() const { return violations_; }
   /// The registry the "sched.*" metrics report into (installed or private).
-  obs::MetricsRegistry* metrics() const { return cobs_.metrics(); }
-  obs::TraceRecorder* tracer() const { return cobs_.tracer(); }
+  obs::MetricsRegistry* metrics() const { return obs_.metrics(); }
+  obs::TraceRecorder* tracer() const { return obs_.tracer(); }
 
  private:
+  /// An attempt at the center, arriving or parked.
   struct Parked {
     EventLiteral literal;
     AttemptCallback done;
     int agent_site;
+    /// When the agent sent it; its decision latency runs from here.
+    SimTime sent;
+    /// Its parked trace window (SchedulerObs::Park), 0 while it is not
+    /// parked.
+    uint64_t window = 0;
   };
 
   /// Runs at the center: decides or parks an arriving attempt.
-  void HandleAttempt(EventLiteral literal, AttemptCallback done,
-                     int agent_site);
+  void HandleAttempt(Parked attempt);
   bool CanAcceptNow(EventLiteral literal);
   bool CanEverAccept(EventLiteral literal);
   bool Satisfiable(const Expr* e);
   void ApplyOccurrence(EventLiteral literal);
   void Reevaluate();
-  void Reply(int agent_site, const AttemptCallback& done, Decision decision);
+  /// Records a final `decision` at the center and sends any decision back
+  /// to the attempting agent; a final one's latency is recorded where it
+  /// is delivered.
+  void Reply(const Parked& attempt, Decision decision);
   int SiteOf(SymbolId symbol) const;
 
   WorkflowContext* ctx_;
@@ -90,7 +98,7 @@ class ResiduationScheduler : public Scheduler {
   Trace history_;
   std::vector<std::function<void(EventLiteral)>> listeners_;
   size_t violations_ = 0;
-  CentralSchedulerObs cobs_;
+  SchedulerObs obs_;
 };
 
 }  // namespace cdes

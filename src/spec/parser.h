@@ -56,8 +56,11 @@ Result<ParsedWorkflow> ParseWorkflow(WorkflowContext* ctx,
                                      std::string_view text,
                                      std::string_view filename = "");
 
-/// Renders a parsed workflow back into (canonical) spec text; the result
-/// reparses to an equivalent workflow.
+/// Renders a parsed workflow back into (canonical) spec text. For a
+/// workflow that instantiates no template the result reparses to an
+/// equivalent workflow, which renders to the same text. A template
+/// instance's mangled names (`s_buy[7]`, `d1[cid=7]`) are not spec syntax:
+/// its rendering is for reading only.
 std::string FormatWorkflow(const ParsedWorkflow& workflow,
                            const Alphabet& alphabet);
 

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "algebra/residuation.h"
-#include "obs/metrics.h"
 #include "temporal/guard.h"
 
 namespace cdes {
@@ -57,11 +56,9 @@ class ReductionCache {
     auto it = map_.find(Key{g, ann});
     if (it == map_.end()) {
       ++misses_;
-      if (miss_counter_ != nullptr) miss_counter_->Increment();
       return nullptr;
     }
     ++hits_;
-    if (hit_counter_ != nullptr) hit_counter_->Increment();
     return it->second;
   }
 
@@ -69,15 +66,8 @@ class ReductionCache {
     map_.emplace(Key{g, ann}, reduced);
   }
 
-  /// Mirrors hits/misses into `guards.reduction_cache_{hits,misses}`
-  /// counters of `registry` (get-or-create; re-attach is idempotent for a
-  /// fixed registry). Counters start from the registry's current values —
-  /// raw hits()/misses() remain the cache-lifetime truth.
-  void AttachMetrics(obs::MetricsRegistry* registry) {
-    hit_counter_ = registry->counter("guards.reduction_cache_hits");
-    miss_counter_ = registry->counter("guards.reduction_cache_misses");
-  }
-
+  /// Lifetime probe tallies (engine shards publish them as the
+  /// `guards.reduction_cache_{hits,misses}` gauges).
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   size_t size() const { return map_.size(); }
@@ -100,8 +90,6 @@ class ReductionCache {
   std::unordered_map<Key, const Guard*, KeyHash> map_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  obs::Counter* hit_counter_ = nullptr;
-  obs::Counter* miss_counter_ = nullptr;
 };
 
 /// IMPORTANT: ◇E reduction by residuation is order-sensitive; occurrence

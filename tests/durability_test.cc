@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -7,6 +8,7 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "engine/engine.h"
 #include "runtime/checkpoint.h"
 #include "runtime/event_log.h"
 #include "runtime/reliable_transport.h"
@@ -1230,6 +1232,352 @@ TEST(SchedulerCheckpointTest, RecoverRejectsDoubleDecidedLog) {
   Status status = w.sched->Recover(log);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("twice"), std::string::npos) << status;
+}
+
+// ------------------------------------ untrusted logs through the engine
+
+/// A log's fields before they are rendered: the records its checkpoint
+/// section covers, the section, and the suffix behind it.
+struct LogParts {
+  std::vector<EventLog::Record> covered;
+  std::optional<EventLog::CheckpointSection> section;
+  std::vector<EventLog::Record> suffix;
+  /// Renders the covered records before the section (a file between the
+  /// two compaction phases) rather than dropping them.
+  bool precompaction = false;
+  bool sealed = true;
+};
+
+/// Renders `parts` as instance `instance`'s log through the codec's line
+/// builders: every record, section and trailer checksum is valid, so the
+/// parsers behind them see every mutation.
+std::string RenderLog(const LogParts& parts, uint64_t instance,
+                      const Alphabet& alphabet) {
+  std::string text = EventLog::HeaderLine(instance);
+  if (parts.precompaction || !parts.section) {
+    for (const EventLog::Record& r : parts.covered) {
+      text += EventLog::RecordLine(r, alphabet);
+    }
+  }
+  if (parts.section) text += EventLog::SectionText(*parts.section);
+  for (const EventLog::Record& r : parts.suffix) {
+    text += EventLog::RecordLine(r, alphabet);
+  }
+  if (parts.sealed) StrAppend(&text, "checksum ", reference::Fnv1a(text), "\n");
+  return text;
+}
+
+/// A real log of `spec` to mutate: `before` attempted over a Network (so
+/// the checkpoint payload carries transport `chan` lines) with a durable
+/// log, checkpointed, then `after` attempted as the suffix.
+LogParts CheckpointedRun(const char* spec, const std::vector<std::string>& before,
+                         const std::vector<std::string>& after) {
+  WorkflowContext ctx;
+  auto parsed = ParseWorkflow(&ctx, spec);
+  CDES_CHECK(parsed.ok()) << parsed.status();
+  Simulator sim;
+  NetworkOptions nopts;
+  nopts.base_latency = 100;
+  nopts.duplicate_probability = 0.2;  // arms the reliable transport
+  Network network(&sim, 3, nopts);
+  EventLog log;
+  GuardSchedulerOptions options;
+  options.durable_log = &log;
+  GuardScheduler sched(&ctx, parsed.value(), &network, options);
+  auto attempt = [&](const std::string& name) {
+    sched.Attempt(ctx.alphabet()->ParseLiteral(name).value(), {});
+    sim.Run();
+  };
+  for (const std::string& name : before) attempt(name);
+  LogParts parts;
+  parts.covered = log.records();
+  EventLog::CheckpointSection section = SectionFor(
+      log, SerializeCheckpoint(sched.Snapshot(), *ctx.alphabet()));
+  log.InstallCheckpoint(section);
+  parts.section = std::move(section);
+  for (const std::string& name : after) attempt(name);
+  parts.suffix = log.records();
+  return parts;
+}
+
+constexpr char kStampSpec[] = R"(
+workflow stamps {
+  event e0;
+  event e1;
+  event e2;
+  dep d0: ~e1 + e0 . e1;
+  dep d1: ~e2 + e1 . e2;
+}
+)";
+
+/// The two stamp logs an engine used to abort on (EngineTest has them as
+/// regression tests): a checkpoint whose payload resumes the stamp sequence
+/// below its last covered stamp, and an open log whose one record carries
+/// the largest sequence number.
+std::vector<LogParts> StampLogs(const Alphabet& alphabet) {
+  EventLiteral e0 = alphabet.ParseLiteral("e0").value();
+  EventLiteral e1 = alphabet.ParseLiteral("e1").value();
+  LogParts behind;
+  behind.covered = {{OccurrenceStamp{0, 0}, e0}, {OccurrenceStamp{0, 1}, e1}};
+  CheckpointState state;
+  state.history = {e0, e1};
+  behind.section = EventLog::CheckpointSection{
+      2, OccurrenceStamp{0, 1}, SerializeCheckpoint(state, alphabet)};
+  LogParts exhausted;
+  exhausted.suffix = {
+      {OccurrenceStamp{0, std::numeric_limits<uint64_t>::max()}, e0}};
+  exhausted.sealed = false;
+  return {behind, exhausted};
+}
+
+/// `v` or a value near it or near the ends of the range.
+uint64_t EdgeValue(uint64_t v, Rng* rng) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const uint64_t values[] = {0,        1,        v - 1,    v + 1, v + 1000,
+                             1ull << 63, kMax - 1, kMax};
+  return values[rng->Uniform(std::size(values))];
+}
+
+/// One random mutation of a checkpoint payload: a byte flip, a deleted or
+/// duplicated line or token, a number near the ends of the range, a `~`
+/// added or dropped, or deep nesting.
+std::string MutatePayload(std::string text, Rng* rng) {
+  if (text.empty()) return "meta";
+  size_t at = rng->Uniform(text.size());
+  auto line_at = [&text](size_t pos, size_t* begin, size_t* end) {
+    size_t b = text.rfind('\n', pos);
+    *begin = b == std::string::npos ? 0 : b + 1;
+    size_t e = text.find('\n', pos);
+    *end = e == std::string::npos ? text.size() : e;
+  };
+  switch (rng->Uniform(6)) {
+    case 0: {  // flip one bit, or write a byte the grammar cares about
+      static constexpr char kBytes[] = " \n()~^0123456789abcdehmnopqrst";
+      if (rng->Bernoulli(0.5)) {
+        text[at] = static_cast<char>(text[at] ^ (1 << rng->Uniform(8)));
+      } else {
+        text[at] = kBytes[rng->Uniform(sizeof(kBytes) - 1)];
+      }
+      break;
+    }
+    case 1: {  // delete or duplicate a line
+      size_t begin, end;
+      line_at(at, &begin, &end);
+      std::string line = text.substr(begin, end - begin);
+      if (rng->Bernoulli(0.5)) {
+        text.erase(begin, std::min(text.size(), end + 1) - begin);
+      } else {
+        text.insert(begin, line + "\n");
+      }
+      break;
+    }
+    case 2: {  // delete or duplicate a token
+      size_t begin = text.find_last_of(" \n()", at);
+      begin = begin == std::string::npos ? 0 : begin + 1;
+      size_t end = text.find_first_of(" \n()", at);
+      if (end == std::string::npos) end = text.size();
+      if (rng->Bernoulli(0.5)) {
+        text.erase(begin, end - begin);
+      } else {
+        text.insert(begin, text.substr(begin, end - begin) + " ");
+      }
+      break;
+    }
+    case 3: {  // a number near the ends of the range
+      size_t digit = text.find_first_of("0123456789", at);
+      if (digit == std::string::npos) digit = text.find_first_of("0123456789");
+      if (digit == std::string::npos) break;
+      size_t end = text.find_first_not_of("0123456789", digit);
+      if (end == std::string::npos) end = text.size();
+      uint64_t v = std::strtoull(text.substr(digit, end - digit).c_str(),
+                                 nullptr, 10);
+      std::string edge = rng->Bernoulli(0.1)
+                             ? std::string("18446744073709551616")
+                             : StrCat(EdgeValue(v, rng));
+      text.replace(digit, end - digit, edge);
+      break;
+    }
+    case 4: {  // complement a literal, or drop a complement
+      size_t tilde = text.find('~', at);
+      if (tilde != std::string::npos && rng->Bernoulli(0.5)) {
+        text.erase(tilde, 1);
+      } else {
+        size_t token = text.find_first_of(" (", at);
+        if (token != std::string::npos) text.insert(token + 1, "~");
+      }
+      break;
+    }
+    default: {  // deep nesting inside an s-expression
+      size_t depth = 1 + rng->Uniform(rng->Bernoulli(0.5) ? 16 : 5000);
+      std::string open;
+      for (size_t i = 0; i < depth; ++i) {
+        open += rng->Bernoulli(0.5) ? "(and " : "(dia ";
+      }
+      text.insert(at, open);
+      break;
+    }
+  }
+  return text;
+}
+
+/// One random mutation of a log's fields: its checkpoint payload, a record's
+/// stamp or literal, which records there are, the section's framing, or its
+/// shape (pre-compaction or compacted, sealed or open).
+void MutateLog(LogParts* parts, const std::vector<EventLiteral>& literals,
+               Rng* rng) {
+  std::vector<EventLog::Record>* records =
+      rng->Bernoulli(0.5) ? &parts->covered : &parts->suffix;
+  switch (rng->Uniform(6)) {
+    case 0:
+    case 1:
+      if (parts->section) {
+        parts->section->payload =
+            MutatePayload(std::move(parts->section->payload), rng);
+      }
+      return;
+    case 2: {  // a record's stamp or literal
+      if (records->empty()) return;
+      EventLog::Record& r = (*records)[rng->Uniform(records->size())];
+      switch (rng->Uniform(3)) {
+        case 0:
+          r.stamp.seq = EdgeValue(r.stamp.seq, rng);
+          return;
+        case 1:
+          r.stamp.time = EdgeValue(r.stamp.time, rng);
+          return;
+        default:
+          r.literal = rng->Bernoulli(0.5)
+                          ? r.literal.Complemented()
+                          : literals[rng->Uniform(literals.size())];
+          return;
+      }
+    }
+    case 3: {  // drop, duplicate or swap records
+      if (records->empty()) return;
+      size_t i = rng->Uniform(records->size());
+      size_t j = rng->Uniform(records->size());
+      switch (rng->Uniform(3)) {
+        case 0:
+          records->erase(records->begin() + i);
+          return;
+        case 1:
+          records->insert(records->begin() + i, (*records)[j]);
+          return;
+        default:
+          std::swap((*records)[i], (*records)[j]);
+          return;
+      }
+    }
+    case 4:  // the section's framing
+      if (!parts->section) return;
+      if (rng->Bernoulli(0.5)) {
+        parts->section->covered = EdgeValue(parts->section->covered, rng);
+      } else if (rng->Bernoulli(0.5)) {
+        parts->section->last_stamp.seq =
+            EdgeValue(parts->section->last_stamp.seq, rng);
+      } else {
+        parts->section->last_stamp.time =
+            EdgeValue(parts->section->last_stamp.time, rng);
+      }
+      return;
+    default:  // the log's shape
+      if (rng->Bernoulli(0.3)) {
+        parts->section.reset();
+      } else if (rng->Bernoulli(0.5)) {
+        parts->precompaction = !parts->precompaction;
+      } else {
+        parts->sealed = !parts->sealed;
+      }
+      return;
+  }
+}
+
+/// Recovers `count` mutants of `corpus` (and the corpus itself) on one
+/// engine running `spec` with durable logs, each under its own instance
+/// id: every log must recover or fail as its instance's error, and the
+/// process must survive. Returns {recovered, failed}.
+std::pair<size_t, size_t> RecoverMutants(const char* spec,
+                                         const std::vector<LogParts>& corpus,
+                                         size_t count, uint64_t seed) {
+  WorkflowContext ctx;
+  CDES_CHECK(ParseWorkflow(&ctx, spec).ok());
+  const Alphabet& alphabet = *ctx.alphabet();
+  std::vector<EventLiteral> literals;
+  for (SymbolId s = 0; s < alphabet.size(); ++s) {
+    literals.push_back(EventLiteral::Positive(s));
+    literals.push_back(EventLiteral::Complement(s));
+  }
+  Rng rng(seed);
+  std::vector<std::string> logs;
+  for (size_t i = 0; i < corpus.size() + count; ++i) {
+    LogParts parts = corpus[i % corpus.size()];
+    if (i >= corpus.size()) {
+      do {
+        MutateLog(&parts, literals, &rng);
+      } while (rng.Bernoulli(0.4));
+    }
+    logs.push_back(RenderLog(parts, i, alphabet));
+  }
+  engine::EngineOptions opts;
+  opts.shards = 2;
+  opts.durable_logs = true;
+  engine::Engine eng(engine::EngineSpec::FromText(spec).value(), opts);
+  EXPECT_TRUE(eng.Recover(logs).ok());
+  eng.Drain();
+  std::vector<engine::InstanceResult> results = eng.TakeResults();
+  EXPECT_EQ(results.size(), logs.size());
+  size_t recovered = 0, failed = 0;
+  for (const engine::InstanceResult& r : results) {
+    if (r.error.empty()) {
+      ++recovered;
+    } else {
+      EXPECT_TRUE(StartsWith(r.error, "recovery ")) << r.error;
+      ++failed;
+    }
+  }
+  return {recovered, failed};
+}
+
+// Checkpoint payloads and record fields from untrusted logs, through the
+// engine's whole recovery path (tolerant load, Recover, closure, the
+// recovered instance's durable log): mutants of real checkpointed logs
+// (with baselines, `chan` lines and complemented literals), re-sealed with
+// valid checksums, each recover or fail as their instance's error; none
+// may take the process down.
+TEST(RecoveryFuzzTest, MutatedLogsRecoverOrFailAsInstanceErrors) {
+  std::vector<LogParts> travel = {
+      CheckpointedRun(kTravelSpec, {"s_buy", "c_book"}, {"c_buy"}),
+      CheckpointedRun(kTravelSpec, {"s_buy"}, {"~c_buy", "c_book"}),
+      CheckpointedRun(kTravelSpec, {"~s_buy", "c_book"}, {"~c_buy"}),
+  };
+  std::vector<LogParts> stamps = {
+      CheckpointedRun(kStampSpec, {"e0"}, {"e1"}),
+      CheckpointedRun(kStampSpec, {"e0", "~e2"}, {"e1"}),
+  };
+  {
+    WorkflowContext ctx;
+    ASSERT_TRUE(ParseWorkflow(&ctx, kStampSpec).ok());
+    for (LogParts& parts : StampLogs(*ctx.alphabet())) {
+      stamps.push_back(std::move(parts));
+    }
+  }
+  // The corpus itself exercises what the mutants mutate.
+  std::string payloads;
+  for (const LogParts& parts : travel) payloads += parts.section->payload;
+  ASSERT_NE(payloads.find("\nchan "), std::string::npos);
+  ASSERT_NE(payloads.find("\nactor "), std::string::npos);
+  ASSERT_NE(payloads.find("~"), std::string::npos);
+  size_t recovered = 0, failed = 0;
+  for (uint64_t round = 0; round < 8; ++round) {
+    auto [r1, f1] = RecoverMutants(kTravelSpec, travel, 2000, 20261020 + round);
+    auto [r2, f2] = RecoverMutants(kStampSpec, stamps, 1000, 4099 + round);
+    recovered += r1 + r2;
+    failed += f1 + f2;
+    if (HasFailure()) return;
+  }
+  // Both outcomes are common, so the property is not vacuous.
+  EXPECT_GT(recovered, 5000u);
+  EXPECT_GT(failed, 5000u);
 }
 
 }  // namespace

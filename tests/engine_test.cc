@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -16,15 +17,18 @@
 #include <gtest/gtest.h>
 
 #include "algebra/generator.h"
+#include "analysis/model_checker.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "engine/engine.h"
 #include "guards/workflow.h"
 #include "obs/json.h"
+#include "runtime/checkpoint.h"
 #include "sched/diagnostics.h"
 #include "sched/guard_scheduler.h"
 #include "sim/network.h"
 #include "spec/parser.h"
+#include "random_workflow.h"
 
 namespace cdes::engine {
 namespace {
@@ -174,27 +178,62 @@ std::string RandomSpecText(uint64_t seed, size_t symbols) {
   return text + "}\n";
 }
 
-/// A random script over `symbols` events: each event is attempted with
-/// probability 2/3, complemented with probability 1/4, in random order.
+/// A random script over `symbols` events: RandomPlan's attempts (each
+/// event with probability 2/3, complemented with probability 1/4, in
+/// random order).
 InstanceScript RandomScript(Rng* rng, size_t symbols) {
   InstanceScript script;
-  for (size_t i = 0; i < symbols; ++i) {
-    if (rng->Next() % 3 == 0) continue;
-    script.attempts.push_back(StrCat(rng->Next() % 4 == 0 ? "~" : "", "e", i));
-  }
-  for (size_t i = script.attempts.size(); i > 1; --i) {
-    std::swap(script.attempts[i - 1], script.attempts[rng->Next() % i]);
-  }
+  script.attempts = RandomPlan(rng, symbols);
   return script;
+}
+
+/// Runs `scripts` on the spec `text` at 1, 2 and 3 shards, durable logs on
+/// at 2 shards, and expects every instance to end alike in all three runs:
+/// history, consistent and maximal flags, diagnosis. Returns the run with
+/// logs, by instance id.
+std::map<uint64_t, InstanceResult> RunAtShardCounts(
+    const std::string& text, const std::vector<InstanceScript>& scripts) {
+  auto spec = EngineSpec::FromText(text);
+  CDES_CHECK(spec.ok()) << spec.status();
+  std::map<uint64_t, std::string> reference;
+  std::map<uint64_t, InstanceResult> logged;
+  for (size_t shards : {1u, 2u, 3u}) {
+    EngineOptions opts;
+    opts.shards = shards;
+    opts.durable_logs = shards == 2;
+    Engine eng(spec.value(), opts);
+    for (const InstanceScript& script : scripts) {
+      CDES_CHECK(eng.Submit(script).ok());
+    }
+    eng.Drain();
+    auto by_id = ById(eng.TakeResults());
+    EXPECT_EQ(by_id.size(), scripts.size());
+    for (const auto& [id, r] : by_id) {
+      EXPECT_TRUE(r.error.empty()) << r.error;
+      std::string outcome =
+          StrCat(r.history, r.consistent ? " | consistent" : "",
+                 r.maximal ? " | maximal" : "", " | ", r.diagnosis);
+      if (shards == 1) {
+        reference[id] = outcome;
+      } else {
+        EXPECT_EQ(outcome, reference[id])
+            << "instance " << id << " diverged at " << shards
+            << " shards\n" << text;
+      }
+    }
+    if (opts.durable_logs) logged = std::move(by_id);
+  }
+  return logged;
 }
 
 // The premise behind shard-shared caches: what earlier instances left in
 // a shard's caches never changes a later instance's history. Random specs
 // run the same scripts at 1, 2 and 3 shards, so each instance shares its
-// shard with different predecessors; every instance must still end with
-// the same history and the same consistent/maximal flags. Instance worlds
-// deliver messages in send order; announcements arriving out of stamp
-// order stay covered at scheduler level by
+// shard with different predecessors, and with durable logs on and off;
+// every instance must still end with the same history, the same
+// consistent/maximal flags and the same diagnosis. Instance worlds deliver
+// messages in send order; announcements arriving out of stamp order stay
+// covered at scheduler level by
 // SymbolicCacheTest.HeardResidualMatchesReferenceFold.
 TEST(EngineTest, RandomSpecsDeterministicAcrossShardCounts) {
   constexpr size_t kSymbols = 4;
@@ -209,41 +248,106 @@ TEST(EngineTest, RandomSpecsDeterministicAcrossShardCounts) {
       ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
       if (CompileWorkflow(&ctx, parsed.value().spec).impossible()) continue;
     }
-    auto spec = EngineSpec::FromText(text);
-    ASSERT_TRUE(spec.ok()) << spec.status();
     Rng rng(seed);
     std::vector<InstanceScript> scripts;
     for (size_t i = 0; i < kInstances; ++i) {
       scripts.push_back(RandomScript(&rng, kSymbols));
     }
-    std::map<uint64_t, std::string> reference;
-    for (size_t shards : {1u, 2u, 3u}) {
-      EngineOptions opts;
-      opts.shards = shards;
-      Engine eng(spec.value(), opts);
-      for (const InstanceScript& script : scripts) {
-        ASSERT_TRUE(eng.Submit(script).ok());
+    RunAtShardCounts(text, scripts);
+    if (HasFailure()) return;
+    ++specs;
+  }
+  EXPECT_EQ(specs, kSpecs);
+}
+
+/// `history` ("<e0 ~e1 ...>") as a trace over `alphabet`.
+Trace ParseHistory(const std::string& history, const Alphabet& alphabet) {
+  Trace trace;
+  std::string_view names(history);
+  names = names.substr(1, names.size() - 2);
+  while (!names.empty()) {
+    size_t space = names.find(' ');
+    auto literal = alphabet.ParseLiteral(names.substr(0, space));
+    CDES_CHECK(literal.ok()) << literal.status();
+    trace.push_back(literal.value());
+    names = space == std::string_view::npos ? "" : names.substr(space + 1);
+  }
+  return trace;
+}
+
+// Theorem 6 end to end: the engine generates only computations that
+// satisfy every dependency, and the model checker's guards accept them.
+// Random specs whose events are triggerable, nondelayable and
+// nonrejectable at random, on agents sharing two sites, run at 1, 2 and 3
+// shards with durable logs on and off (RunAtShardCounts). For a spec the
+// checker explores exhaustively with no error-level finding and that has
+// no nonrejectable event (a forced admission may violate a dependency, by
+// design), every maximal result is consistent and accepted by
+// StateSpace::GuardAccepts. Every instance that ends short says why, and
+// recovering each maximal result's sealed log reproduces its history.
+TEST(EngineTest, AttributedRandomSpecsSatisfyTheoremSix) {
+  constexpr size_t kSymbols = 4;
+  constexpr size_t kSpecs = 40;
+  constexpr size_t kInstances = 40;
+  RandomWorkflowOptions options;
+  options.sites = 2;
+  options.attributes = true;
+  size_t specs = 0, checked_specs = 0, recovered = 0, accepted = 0;
+  for (uint64_t seed = 1; specs < kSpecs && seed <= 400; ++seed) {
+    std::string text = RandomWorkflowText(seed * 4099 + 3, kSymbols, options);
+    WorkflowContext ctx;
+    auto parsed = ParseWorkflow(&ctx, text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+    CompiledWorkflow compiled = CompileWorkflow(&ctx, parsed.value().spec);
+    if (compiled.impossible()) continue;
+    analysis::CheckResult check =
+        analysis::CheckCompiled(&ctx, parsed.value(), compiled);
+    bool checked = !check.stats.bounded;
+    for (const analysis::Diagnostic& d : check.diagnostics) {
+      checked &= d.severity != analysis::Severity::kError;
+    }
+    for (const EventDecl& e : parsed.value().events) {
+      checked &= e.attrs.rejectable;
+    }
+    checked_specs += checked;
+    Rng rng(seed);
+    std::vector<InstanceScript> scripts;
+    for (size_t i = 0; i < kInstances; ++i) {
+      scripts.push_back(RandomScript(&rng, kSymbols));
+    }
+    std::map<uint64_t, InstanceResult> results =
+        RunAtShardCounts(text, scripts);
+    if (HasFailure()) return;
+    analysis::StateSpace space(&ctx, compiled);
+    std::vector<std::string> logs;
+    for (const auto& [id, r] : results) {
+      if (!r.maximal) {
+        EXPECT_FALSE(r.diagnosis.empty()) << r.history << "\n" << text;
+        continue;
       }
-      eng.Drain();
-      auto by_id = ById(eng.TakeResults());
-      ASSERT_EQ(by_id.size(), kInstances);
-      for (const auto& [id, r] : by_id) {
-        ASSERT_TRUE(r.error.empty()) << r.error;
-        std::string outcome =
-            StrCat(r.history, r.consistent ? " | consistent" : "",
-                   r.maximal ? " | maximal" : "");
-        if (shards == 1) {
-          reference[id] = outcome;
-        } else {
-          EXPECT_EQ(outcome, reference[id])
-              << "instance " << id << " diverged at " << shards
-              << " shards\n" << text;
-        }
-      }
+      logs.push_back(r.log_text);
+      if (!checked) continue;
+      EXPECT_TRUE(r.consistent) << r.history << "\n" << text;
+      EXPECT_TRUE(space.GuardAccepts(ParseHistory(r.history, *ctx.alphabet())))
+          << r.history << "\n" << text;
+      ++accepted;
+    }
+    EngineOptions opts;
+    opts.shards = 2;
+    Engine eng(EngineSpec::FromText(text).value(), opts);
+    ASSERT_TRUE(eng.Recover(std::move(logs)).ok());
+    eng.Drain();
+    for (const auto& [id, r] : ById(eng.TakeResults())) {
+      EXPECT_TRUE(r.error.empty()) << r.error;
+      EXPECT_EQ(r.history, results[id].history) << "instance " << id;
+      ++recovered;
     }
     ++specs;
   }
   EXPECT_EQ(specs, kSpecs);
+  EXPECT_GE(checked_specs, 10u);
+  EXPECT_GE(accepted, 200u);
+  EXPECT_GE(recovered, 700u);
 }
 
 /// A scheduler world over `compiled`: co-located, or over a Network with
@@ -713,38 +817,40 @@ TEST(EngineTest, MetricsSnapshotAddsUp) {
 }
 
 TEST(EngineTest, ResiduationTalliesSumAcrossShards) {
-  // Each shard's residuator keeps its own hit/miss tallies, published as
-  // shard gauges; the engine-wide figures are their sums, in the snapshot
-  // and in the merged registry (Prometheus, telemetry, cdes-top).
+  // Each shard's symbolic caches (the reduction cache and the residuator)
+  // keep their own hit/miss tallies, published as shard gauges; the
+  // engine-wide figures are their sums, in the snapshot and in the merged
+  // registry (Prometheus, telemetry, cdes-top).
   EngineOptions opts;
   opts.shards = 2;
   Engine eng(TravelSpec(), opts);
   for (size_t i = 0; i < 200; ++i) ASSERT_TRUE(eng.Submit(ScriptFor(i)).ok());
   eng.Drain();
   eng.Stop();
-  double hits = 0, misses = 0;
-  for (size_t k = 0; k < eng.shard_count(); ++k) {
-    const auto& gauges = eng.shard_metrics(k).gauges();
-    auto h = gauges.find("algebra.residuation_cache_hits");
-    auto m = gauges.find("algebra.residuation_cache_misses");
-    ASSERT_NE(h, gauges.end()) << "shard " << k;
-    ASSERT_NE(m, gauges.end()) << "shard " << k;
-    // Both shards did work, so no single shard's tally is the total.
-    EXPECT_GT(h->second->value(), 0) << "shard " << k;
-    EXPECT_GT(m->second->value(), 0) << "shard " << k;
-    hits += h->second->value();
-    misses += m->second->value();
-  }
   EngineMetricsSnapshot snap = eng.Metrics();
-  EXPECT_EQ(static_cast<double>(snap.residuation_cache_hits), hits);
-  EXPECT_EQ(static_cast<double>(snap.residuation_cache_misses), misses);
   obs::MetricsRegistry merged;
   eng.MergeMetricsInto(&merged);
-  ASSERT_TRUE(merged.gauges().count("algebra.residuation_cache_hits"));
-  EXPECT_EQ(merged.gauge("algebra.residuation_cache_hits")->value(), hits);
-  EXPECT_EQ(merged.gauge("algebra.residuation_cache_misses")->value(),
-            misses);
-  EXPECT_FALSE(merged.counters().count("algebra.residuation_cache_hits"));
+  const std::pair<std::string, uint64_t> tallies[] = {
+      {"algebra.residuation_cache_hits", snap.residuation_cache_hits},
+      {"algebra.residuation_cache_misses", snap.residuation_cache_misses},
+      {"guards.reduction_cache_hits", snap.reduction_cache_hits},
+      {"guards.reduction_cache_misses", snap.reduction_cache_misses},
+  };
+  for (const auto& [name, in_snapshot] : tallies) {
+    double sum = 0;
+    for (size_t k = 0; k < eng.shard_count(); ++k) {
+      const auto& gauges = eng.shard_metrics(k).gauges();
+      auto g = gauges.find(name);
+      ASSERT_NE(g, gauges.end()) << name << " shard " << k;
+      // Both shards did work, so no single shard's tally is the total.
+      EXPECT_GT(g->second->value(), 0) << name << " shard " << k;
+      sum += g->second->value();
+    }
+    EXPECT_EQ(static_cast<double>(in_snapshot), sum) << name;
+    ASSERT_TRUE(merged.gauges().count(name)) << name;
+    EXPECT_EQ(merged.gauge(name)->value(), sum) << name;
+    EXPECT_FALSE(merged.counters().count(name)) << name;
+  }
 }
 
 TEST(EngineTest, InstanceSpansRecordedWhenTraced) {
@@ -775,7 +881,6 @@ const EngineMetricsSnapshot::HistogramSummary* FindHistogram(
 TEST(EngineTest, LatencyHistogramsSummarizedInSnapshot) {
   EngineOptions opts;
   opts.shards = 2;
-  opts.lifecycle_metrics = true;
   Engine eng(TravelSpec(), opts);
   constexpr size_t kInstances = 12;
   for (size_t i = 0; i < kInstances; ++i) {
@@ -794,8 +899,8 @@ TEST(EngineTest, LatencyHistogramsSummarizedInSnapshot) {
   ASSERT_NE(wait, nullptr);
   EXPECT_EQ(wait->count, kInstances);
   // After Stop the worker-confined shard registries merge in too: the
-  // per-instance scheduler lifecycle histograms become engine-level
-  // digests (that is what lifecycle_metrics buys).
+  // per-instance scheduler lifecycle histograms, which every engine run
+  // records, become engine-level digests.
   EXPECT_NE(FindHistogram(snap, "sched.decision_latency_us"), nullptr);
 
   // PublishTo exports each digest as <name>.{count,mean,p50,p99,max}
@@ -805,6 +910,60 @@ TEST(EngineTest, LatencyHistogramsSummarizedInSnapshot) {
   EXPECT_EQ(registry.gauge("engine.latency_us.count")->value(),
             static_cast<double>(kInstances));
   EXPECT_NE(snap.ToString().find("engine.latency_us"), std::string::npos);
+}
+
+// Every engine run records the lifecycle metrics where the actors decide.
+// Over an inline fan-in spec: a2 and a1 park, a0 parks on its ◇ guard
+// until ordered promises resolve the chain, and j parks until u1 and u2
+// are decided. Five "join" instances accept all six attempts after four
+// parks. Five "abandon" instances park four times and accept ~u1; their
+// closure wave attempts ~u2 and ~j, and ~j's occurrence rejects the parked
+// j: 5 attempts + 2 closure attempts, 6 accepted, 1 rejected each. No
+// simulated time passes in an instance world, so every decision's latency
+// is 0.
+TEST(EngineTest, LifecycleMetricsRecordedByDefault) {
+  auto spec = EngineSpec::FromText(R"(
+workflow fan {
+  event a0;
+  event a1;
+  event a2;
+  event u1;
+  event u2;
+  event j;
+  dep chain: a0 . a1 . a2;
+  dep f1: u1 < j;
+  dep f2: u2 < j;
+}
+)");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  EngineOptions opts;
+  opts.shards = 2;
+  Engine eng(spec.value(), opts);
+  for (size_t i = 0; i < 10; ++i) {
+    InstanceScript script;
+    script.attempts = i % 2 == 0
+        ? std::vector<std::string>{"a2", "a1", "a0", "j", "u1", "u2"}
+        : std::vector<std::string>{"a2", "a1", "a0", "j", "~u1"};
+    ASSERT_TRUE(eng.Submit(std::move(script)).ok());
+  }
+  eng.Drain();
+  eng.Stop();
+  obs::MetricsRegistry merged;
+  eng.MergeMetricsInto(&merged);
+  auto count = [&merged](const char* name) {
+    return merged.counter(name)->value();
+  };
+  EXPECT_EQ(count("sched.attempts"), 65u);
+  EXPECT_EQ(count("sched.decisions.accepted"), 60u);
+  EXPECT_EQ(count("sched.decisions.rejected"), 5u);
+  EXPECT_EQ(count("sched.parks"), 40u);
+  EXPECT_EQ(count("sched.occurrences"), eng.Metrics().events);
+  const obs::Histogram* depth = merged.histogram("sched.parked_depth");
+  EXPECT_EQ(depth->count(), count("sched.parks"));
+  const obs::Histogram* latency = merged.histogram("sched.decision_latency_us");
+  EXPECT_EQ(latency->count(), count("sched.decisions.accepted") +
+                                  count("sched.decisions.rejected"));
+  EXPECT_EQ(latency->sum(), 0u);
 }
 
 TEST(EngineTest, TelemetryFileStreamsParseableSnapshots) {
@@ -927,6 +1086,84 @@ TEST(EngineTest, RecoverRejectsDuplicateInstanceIds) {
   EXPECT_EQ(eng.Metrics().instances_in_flight, 0u);
   eng.Drain();
   EXPECT_TRUE(eng.TakeResults().empty());
+}
+
+constexpr char kStampSpec[] = R"(
+workflow stamps {
+  event e0;
+  event e1;
+  event e2;
+  dep d0: ~e1 + e0 . e1;
+  dep d1: ~e2 + e1 . e2;
+}
+)";
+
+/// Recovers the untrusted `log_text` (instance `id`) on a one-shard engine
+/// with durable logs on or off, and returns the instance's result.
+InstanceResult RecoverUntrusted(const std::string& log_text, uint64_t id,
+                                bool durable_logs) {
+  EngineOptions opts;
+  opts.shards = 1;
+  opts.durable_logs = durable_logs;
+  Engine eng(EngineSpec::FromText(kStampSpec).value(), opts);
+  CDES_CHECK(eng.Recover({log_text}).ok());
+  eng.Drain();
+  auto results = eng.TakeResults();
+  CDES_CHECK(results.size() == 1u && results[0].id == id);
+  return results[0];
+}
+
+// A checksum-valid log whose checkpoint payload resumes the stamp sequence
+// at 0, below its section's last covered stamp (seq 1): the instance's next
+// stamp would sort before the recovered ones (with durable logs, the
+// recovered log's append check aborted the process at the first closure
+// occurrence). Recovery must refuse it as the instance's error.
+TEST(EngineTest, RecoverRejectsCheckpointBehindItsStamps) {
+  WorkflowContext ctx;
+  auto parsed = ParseWorkflow(&ctx, kStampSpec);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const Alphabet& alphabet = *ctx.alphabet();
+  EventLiteral e0 = alphabet.ParseLiteral("e0").value();
+  EventLiteral e1 = alphabet.ParseLiteral("e1").value();
+  EventLog log;
+  log.set_instance(7);
+  log.Append({OccurrenceStamp{0, 0}, e0});
+  log.Append({OccurrenceStamp{0, 1}, e1});
+  CheckpointState state;
+  state.next_seq = 0;
+  state.history = {e0, e1};
+  EventLog::CheckpointSection section;
+  section.covered = 2;
+  section.last_stamp = OccurrenceStamp{0, 1};
+  section.payload = SerializeCheckpoint(state, alphabet);
+  log.InstallCheckpoint(std::move(section));
+  for (bool durable_logs : {true, false}) {
+    InstanceResult r = RecoverUntrusted(log.Serialize(alphabet), 7,
+                                        durable_logs);
+    EXPECT_NE(r.error.find("recovery failed"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("stamp sequence"), std::string::npos) << r.error;
+  }
+}
+
+// A checksum-valid open log whose one record carries the largest stamp
+// sequence number: the next stamp's sequence would wrap to 0 and sort
+// before it. Recovery must refuse it as the instance's error.
+TEST(EngineTest, RecoverRejectsExhaustedStampSequence) {
+  WorkflowContext ctx;
+  auto parsed = ParseWorkflow(&ctx, kStampSpec);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EventLog log;
+  log.set_instance(8);
+  log.Append({OccurrenceStamp{0, std::numeric_limits<uint64_t>::max()},
+              ctx.alphabet()->ParseLiteral("e0").value()});
+  std::string text = log.SerializeOpen(*ctx.alphabet());
+  ASSERT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
+  for (bool durable_logs : {true, false}) {
+    InstanceResult r = RecoverUntrusted(text, 8, durable_logs);
+    EXPECT_NE(r.error.find("recovery failed"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("stamp sequence is exhausted"), std::string::npos)
+        << r.error;
+  }
 }
 
 TEST(EngineTest, CheckpointedLogRecoversLikeGenesisLog) {

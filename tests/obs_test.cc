@@ -529,8 +529,9 @@ TEST(ObsIntegrationTest, TravelSpansReconcileWithGuardSchedulerStats) {
 }
 
 TEST(ObsIntegrationTest, LifecycleInstrumentationIsOffWithoutObservers) {
-  // No metrics/tracer installed: the scheduler still serves stats() from
-  // its private registry, but records no lifecycle histograms or spans.
+  // No metrics/tracer installed: the scheduler still serves stats() and
+  // records its lifecycle counters in its private registry, but records no
+  // lifecycle histograms or spans.
   WorkflowContext ctx;
   auto parsed = ParseWorkflow(&ctx, kTravelSpec);
   ASSERT_TRUE(parsed.ok());
@@ -546,6 +547,7 @@ TEST(ObsIntegrationTest, LifecycleInstrumentationIsOffWithoutObservers) {
   EXPECT_EQ(sched.tracer(), nullptr);
   ASSERT_NE(sched.metrics(), nullptr);
   EXPECT_GT(sched.stats().total(), 0u);
+  EXPECT_GT(sched.metrics()->counter("sched.decisions.accepted")->value(), 0u);
   EXPECT_EQ(sched.metrics()->histogram_count(), 0u);
 }
 

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "algebra/generator.h"
 #include "algebra/semantics.h"
+#include "common/file.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "spec/parser.h"
 #include "temporal/guard_semantics.h"
@@ -333,6 +340,9 @@ TEST_F(SpecTest, TemplateInstancesScheduleIndependently) {
             ctx_.guards()->Box(EventLiteral::Positive(c_book7)));
 }
 
+// FormatWorkflow's round trip holds for workflows that instantiate no
+// template: a template instance's mangled names (`s_buy[7]`, `d1[cid=7]`)
+// are not spec syntax (see parser.h).
 TEST_F(SpecTest, FormatRoundTrips) {
   auto r = ParseWorkflow(&ctx_, kTravelSpec);
   ASSERT_TRUE(r.ok()) << r.status();
@@ -351,6 +361,211 @@ TEST_F(SpecTest, FormatRoundTrips) {
     EXPECT_EQ(a.events[i].symbol, b.events[i].symbol);
     EXPECT_EQ(a.events[i].attrs, b.events[i].attrs);
   }
+}
+
+// ------------------------------------------------------ mutation fuzzing
+
+/// The shipped specs (read only), in path order: the fuzz corpus.
+std::vector<std::string> SpecCorpus() {
+  std::vector<std::string> paths;
+  for (const char* dir :
+       {"examples/specs", "examples/specs/bad", "perfbench/specs"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             StrCat(CDES_SOURCE_DIR, "/", dir))) {
+      std::string ext = entry.path().extension().string();
+      if (ext == ".wf" || ext == ".spec") paths.push_back(entry.path());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<std::string> corpus;
+  for (const std::string& path : paths) {
+    Result<std::string> text = ReadFile(path);
+    CDES_CHECK(text.ok()) << text.status();
+    corpus.push_back(std::move(text).value());
+  }
+  return corpus;
+}
+
+bool IsWordByte(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+/// One random mutation of spec text: a byte flip, a deleted or duplicated
+/// token or line, an inserted `(`, `~` or digit run, an integer past 2^63,
+/// parentheses around a run of tokens, or deep nesting.
+std::string MutateSpec(std::string text, Rng* rng) {
+  if (text.empty()) return text;
+  size_t at = rng->Uniform(text.size());
+  switch (rng->Uniform(7)) {
+    case 0: {  // flip one bit, or write a byte the grammar cares about
+      static constexpr char kBytes[] = "();:,.+|<>~[]@#=T0 \n\t_-9";
+      if (rng->Bernoulli(0.5)) {
+        text[at] = static_cast<char>(text[at] ^ (1 << rng->Uniform(8)));
+      } else {
+        text[at] = kBytes[rng->Uniform(sizeof(kBytes) - 1)];
+      }
+      break;
+    }
+    case 1: {  // delete or duplicate the token at `at`
+      size_t begin = at, end = at + 1;
+      if (IsWordByte(text[at])) {
+        while (begin > 0 && IsWordByte(text[begin - 1])) --begin;
+        while (end < text.size() && IsWordByte(text[end])) ++end;
+      }
+      if (rng->Bernoulli(0.5)) {
+        text.erase(begin, end - begin);
+      } else {
+        text.insert(end, StrCat(" ", text.substr(begin, end - begin)));
+      }
+      break;
+    }
+    case 2: {  // delete or duplicate the line holding `at`
+      size_t begin = text.rfind('\n', at);
+      begin = begin == std::string::npos ? 0 : begin + 1;
+      size_t end = text.find('\n', at);
+      end = end == std::string::npos ? text.size() : end + 1;
+      std::string line = text.substr(begin, end - begin);
+      if (rng->Bernoulli(0.5)) {
+        text.erase(begin, end - begin);
+      } else {
+        text.insert(end, line);
+      }
+      break;
+    }
+    case 3: {  // an inserted `(`, `~` or digit run
+      static constexpr const char* kInserts[] = {"(", "~", "~~", "0", "007",
+                                                 "123456789"};
+      text.insert(at, kInserts[rng->Uniform(std::size(kInserts))]);
+      break;
+    }
+    case 4: {  // an integer past 2^63 in place of a digit run, or inserted
+      static constexpr const char* kHuge[] = {
+          "9223372036854775808", "18446744073709551615",
+          "18446744073709551616", "340282366920938463463374607431768211456"};
+      std::string huge = kHuge[rng->Uniform(std::size(kHuge))];
+      size_t digit = text.find_first_of("0123456789", at);
+      if (digit == std::string::npos) {
+        text.insert(at, huge);
+        break;
+      }
+      size_t end = digit;
+      while (end < text.size() && std::isdigit(static_cast<unsigned char>(
+                                      text[end]))) {
+        ++end;
+      }
+      text.replace(digit, end - digit, huge);
+      break;
+    }
+    case 5: {  // parentheses around a run of tokens in one line's expression
+      size_t begin = at == 0 ? std::string::npos : text.rfind('\n', at - 1);
+      begin = begin == std::string::npos ? 0 : begin + 1;
+      size_t end = text.find('\n', at);
+      if (end == std::string::npos) end = text.size();
+      // A dependency's expression runs from its ':' to its ';'.
+      size_t colon = text.find(':', begin);
+      if (colon < end) begin = colon + 1;
+      size_t semi = text.find(';', begin);
+      if (semi < end) end = semi;
+      std::vector<std::pair<size_t, size_t>> tokens;
+      for (size_t i = begin; i < end;) {
+        if (text[i] == ' ') {
+          ++i;
+          continue;
+        }
+        size_t j = i + 1;
+        if (IsWordByte(text[i]) || text[i] == '~') {
+          while (j < end && IsWordByte(text[j])) ++j;
+        }
+        tokens.emplace_back(i, j);
+        i = j;
+      }
+      if (tokens.empty()) break;
+      size_t first = rng->Uniform(tokens.size());
+      size_t last = first + rng->Uniform(tokens.size() - first);
+      text.insert(tokens[last].second, ")");
+      text.insert(tokens[first].first, "(");
+      break;
+    }
+    default: {  // deep nesting
+      size_t depth = 1 + rng->Uniform(rng->Bernoulli(0.5) ? 64 : 20000);
+      std::string open;
+      for (size_t i = 0; i < depth; ++i) open += rng->Bernoulli(0.8) ? "(" : "~(";
+      text.insert(at, open);
+      if (rng->Bernoulli(0.5)) {
+        text.insert(std::min(text.size(), at + open.size() + 2),
+                    std::string(depth, ')'));
+      }
+      break;
+    }
+  }
+  return text;
+}
+
+/// What a workflow declares, in one context: agents and sites, event
+/// symbols, agents and attributes, dependency names and (hash-consed)
+/// expressions.
+std::string Declared(const ParsedWorkflow& w) {
+  std::string out;
+  for (const AgentDecl& a : w.agents) StrAppend(&out, a.name, "@", a.site, " ");
+  for (const EventDecl& e : w.events) {
+    StrAppend(&out, e.symbol, ":", e.agent, ":", e.attrs.triggerable,
+              e.attrs.rejectable, e.attrs.delayable, " ");
+  }
+  for (const Dependency& d : w.spec.dependencies()) {
+    StrAppend(&out, d.name, "=", reinterpret_cast<uintptr_t>(d.expr), " ");
+  }
+  return out;
+}
+
+/// Parses `text`; an accepted workflow that instantiates no template must
+/// format to text that reparses to an equivalent workflow and formats the
+/// same (FormatWorkflow's contract). Returns whether `text` was accepted.
+bool ParsesAndRoundTrips(const std::string& text) {
+  WorkflowContext ctx;
+  auto all = ParseWorkflows(&ctx, text);
+  if (!all.ok()) return false;
+  for (const ParsedWorkflow& w : all.value()) {
+    bool instance = std::any_of(
+        w.events.begin(), w.events.end(), [](const EventDecl& e) {
+          return e.name.find('[') != std::string::npos;
+        });
+    if (instance) continue;
+    std::string formatted = FormatWorkflow(w, *ctx.alphabet());
+    auto again = ParseWorkflow(&ctx, formatted);
+    EXPECT_TRUE(again.ok()) << again.status() << "\n" << formatted;
+    if (!again.ok()) return true;
+    EXPECT_EQ(Declared(again.value()), Declared(w)) << formatted;
+    EXPECT_EQ(FormatWorkflow(again.value(), *ctx.alphabet()), formatted);
+  }
+  return true;
+}
+
+// The hand-written spec parser against untrusted text: every truncation of
+// every shipped spec and thousands of seeded mutants of them either parse
+// or return a Status (no crash, no hang; deep nesting and integer overflow
+// included), and every accepted workflow keeps FormatWorkflow's round trip.
+TEST(SpecFuzzTest, MutatedSpecsParseOrFailCleanly) {
+  std::vector<std::string> corpus = SpecCorpus();
+  ASSERT_GE(corpus.size(), 10u);
+  size_t accepted = 0, rejected = 0;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    for (size_t cut = 0; cut <= corpus[i].size(); ++cut) {
+      ParsesAndRoundTrips(corpus[i].substr(0, cut)) ? ++accepted : ++rejected;
+      ASSERT_FALSE(HasFailure()) << "spec " << i << " cut at " << cut;
+    }
+  }
+  Rng rng(20261020);
+  for (size_t round = 0; round < 6000; ++round) {
+    size_t i = rng.Uniform(corpus.size());
+    std::string text = MutateSpec(corpus[i], &rng);
+    while (rng.Bernoulli(0.3)) text = MutateSpec(std::move(text), &rng);
+    ParsesAndRoundTrips(text) ? ++accepted : ++rejected;
+    ASSERT_FALSE(HasFailure()) << "round " << round << " from spec " << i
+                               << ":\n" << text;
+  }
+  // Both verdicts are common, so the properties are not vacuous.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected, 5000u);
 }
 
 TEST_F(SpecTest, ParsedWorkflowCompilesToExpectedGuards) {

@@ -26,26 +26,13 @@
 #include "spec/parser.h"
 #include "temporal/flat_eval.h"
 #include "temporal/reduction.h"
+#include "random_workflow.h"
 
 namespace cdes {
 namespace {
 
 using analysis::CheckState;
 using analysis::StateSpace;
-
-std::vector<const Expr*> RandomDeps(WorkflowContext* ctx, Rng* rng,
-                                    size_t symbols, size_t count) {
-  RandomExprOptions options;
-  options.symbol_count = symbols;
-  options.max_depth = 3;
-  options.max_arity = 3;
-  options.constant_probability = 0.0;
-  std::vector<const Expr*> out;
-  for (size_t i = 0; i < count; ++i) {
-    out.push_back(GenerateRandomExpr(ctx->exprs(), rng, options));
-  }
-  return out;
-}
 
 // Compiles `count` random dependencies over `symbols` fresh symbols into
 // `ctx`; returns the compiled workflow (possibly impossible — caller skips).
@@ -159,68 +146,6 @@ TEST(SymbolicCacheTest, CachedReductionIsPointerIdentical) {
 }
 
 // ------------------------------------------ scheduler runs vs reference
-
-// What RandomWorkflowText varies besides the dependencies. The defaults
-// give each agent a site of its own and every event the default
-// attributes.
-struct RandomWorkflowOptions {
-  // Agents are spread at random over this many sites; 0 gives each agent
-  // its own site.
-  size_t sites = 0;
-  // Events are made triggerable, nondelayable and nonrejectable at random.
-  bool attributes = false;
-};
-
-// A random workflow as spec text: one agent per event, by default each on
-// its own site, so that with network jitter announcements from different
-// senders reach an actor out of stamp order.
-std::string RandomWorkflowText(uint64_t seed, size_t symbols,
-                               const RandomWorkflowOptions& options = {}) {
-  WorkflowContext gen_ctx;
-  for (size_t i = 0; i < symbols; ++i) {
-    gen_ctx.alphabet()->Intern(StrCat("e", i));
-  }
-  Rng rng(seed);
-  std::string deps;
-  size_t d = 0;
-  for (const Expr* expr : RandomDeps(&gen_ctx, &rng, symbols, 2)) {
-    StrAppend(&deps, "  dep d", d++, ": ",
-              ExprToString(expr, *gen_ctx.alphabet()), ";\n");
-  }
-  // Sites and attributes are drawn after the dependencies, so the default
-  // options leave the text of every seed as it was before they existed.
-  std::string text = "workflow rnd {\n";
-  for (size_t i = 0; i < symbols; ++i) {
-    size_t site = options.sites == 0 ? i : rng.Next() % options.sites;
-    StrAppend(&text, "  agent a", i, " @ site(", site, ");\n");
-  }
-  for (size_t i = 0; i < symbols; ++i) {
-    StrAppend(&text, "  event e", i, " agent(a", i, ")");
-    std::vector<std::string> attrs;
-    if (options.attributes) {
-      if (rng.Next() % 3 == 0) attrs.push_back("triggerable");
-      if (rng.Next() % 5 == 0) attrs.push_back("nondelayable");
-      if (rng.Next() % 5 == 0) attrs.push_back("nonrejectable");
-    }
-    if (!attrs.empty()) StrAppend(&text, " attrs(", StrJoin(attrs, ", "), ")");
-    text += ";\n";
-  }
-  return text + deps + "}\n";
-}
-
-// A random attempt plan: a random subset of the events, each with a
-// random polarity.
-std::vector<std::string> RandomPlan(Rng* rng, size_t symbols) {
-  std::vector<std::string> plan;
-  for (size_t i = 0; i < symbols; ++i) {
-    if (rng->Next() % 3 == 0) continue;
-    plan.push_back(StrCat(rng->Next() % 4 == 0 ? "~" : "", "e", i));
-  }
-  for (size_t i = plan.size(); i > 1; --i) {
-    std::swap(plan[i - 1], plan[rng->Next() % i]);
-  }
-  return plan;
-}
 
 NetworkOptions JitteryNetwork(uint64_t seed) {
   NetworkOptions nopts;
@@ -354,14 +279,16 @@ TEST(SymbolicCacheTest, WarmContextHistoriesMatchFreshContext) {
 
 // One world of the pinned-digest corpus rendered as text: `plan` attempted
 // one literal at a time and then one closure wave, each run to quiescence,
-// co-located (`nopts` null) or over a Network. The text holds the history,
-// the maximal and consistent flags, every decision each attempt heard in
-// callback order, the messages sent and the violations admitted.
+// co-located (`nopts` null) or over a Network, with the observers in
+// `options`. The text holds the history, the maximal and consistent flags,
+// every decision each attempt heard in callback order, the messages sent
+// and the violations admitted.
 std::string DigestWorld(WorkflowContext* ctx,
                         const CompiledWorkflowRef& compiled,
                         const ParsedWorkflow& workflow,
                         const std::vector<std::string>& plan, size_t sites,
-                        const NetworkOptions* nopts) {
+                        const NetworkOptions* nopts,
+                        const GuardSchedulerOptions& options) {
   std::string decisions;
   Simulator sim;
   std::unique_ptr<Network> network;
@@ -369,9 +296,10 @@ std::string DigestWorld(WorkflowContext* ctx,
   if (nopts != nullptr) {
     network = std::make_unique<Network>(&sim, sites, *nopts);
     sched = std::make_unique<GuardScheduler>(ctx, compiled, workflow,
-                                             network.get());
+                                             network.get(), options);
   } else {
-    sched = std::make_unique<GuardScheduler>(ctx, compiled, workflow, &sim);
+    sched = std::make_unique<GuardScheduler>(ctx, compiled, workflow, &sim,
+                                             options);
   }
   for (size_t i = 0; i < plan.size(); ++i) {
     auto lit = ctx->alphabet()->ParseLiteral(plan[i]);
@@ -391,15 +319,10 @@ std::string DigestWorld(WorkflowContext* ctx,
                 sched->violations(), " violations");
 }
 
-// Behaviour pinned across refactors of the runtime: an FNV-1a digest over
-// the worlds of a seeded random corpus. Its specs carry triggerable,
-// nondelayable and nonrejectable events and put agents on shared sites;
-// its plans sometimes attempt a literal twice. Each plan runs co-located,
-// over a FIFO jittered Network and over a non-FIFO one. A change that
-// moves any history, flag, decision, message count or violation count
-// changes the digest; the constant was computed by this test before event
-// actors lost their heard-set fast path.
-TEST(SymbolicCacheTest, RandomWorldsMatchPinnedDigest) {
+// Digests the corpus of RandomWorldsMatchPinnedDigest, with a registry, a
+// tracer and a profiler timing every check installed in each world when
+// `observed`.
+void ExpectPinnedDigest(bool observed) {
   constexpr size_t kSymbols = 4;
   constexpr size_t kSites = 2;
   constexpr size_t kPlans = 3;
@@ -427,8 +350,17 @@ TEST(SymbolicCacheTest, RandomWorldsMatchPinnedDigest) {
       unordered.fifo_links = false;
       const NetworkOptions* transports[] = {nullptr, &fifo, &unordered};
       for (const NetworkOptions* nopts : transports) {
+        obs::MetricsRegistry metrics;
+        obs::TraceRecorder tracer;
+        obs::GuardProfiler profiler(/*sample_every=*/1);
+        GuardSchedulerOptions observers;
+        if (observed) {
+          observers.metrics = &metrics;
+          observers.tracer = &tracer;
+          observers.profiler = &profiler;
+        }
         std::string world = DigestWorld(&ctx, compiled, parsed.value(), plan,
-                                        kSites, nopts);
+                                        kSites, nopts, observers);
         for (unsigned char c : world + "\n") {
           digest = (digest ^ c) * 1099511628211ull;
         }
@@ -438,6 +370,24 @@ TEST(SymbolicCacheTest, RandomWorldsMatchPinnedDigest) {
   }
   EXPECT_GE(worlds, 1000u);
   EXPECT_EQ(digest, 9436000748341048789ull) << worlds << " worlds";
+}
+
+// Behaviour pinned across refactors of the runtime: an FNV-1a digest over
+// the worlds of a seeded random corpus. Its specs carry triggerable,
+// nondelayable and nonrejectable events and put agents on shared sites;
+// its plans sometimes attempt a literal twice. Each plan runs co-located,
+// over a FIFO jittered Network and over a non-FIFO one. A change that
+// moves any history, flag, decision, message count or violation count
+// changes the digest; the constant was computed by this test before event
+// actors lost their heard-set fast path. Every world runs twice, bare and
+// observed (a registry, a tracer and a profiler timing every check
+// installed), and both runs give the constant: observing a run does not
+// move it onto another path.
+TEST(SymbolicCacheTest, RandomWorldsMatchPinnedDigest) {
+  for (bool observed : {false, true}) {
+    SCOPED_TRACE(observed ? "observed" : "bare");
+    ExpectPinnedDigest(observed);
+  }
 }
 
 // ------------------------------------- state space vs reference walks
@@ -540,8 +490,9 @@ TEST(SymbolicCacheTest, StateSpaceMatchesReferenceWalks) {
 
 // ----------------------------------------------------- counter plumbing
 
-// The hit/miss counters behind the observability surface (GuardProfiler
-// TopK reports, cdes-top, BENCH json) must actually move.
+// The hit/miss tallies behind the observability surface (the shards'
+// cache gauges, GuardProfiler TopK reports, cdes-top, BENCH json) must
+// actually move.
 TEST(SymbolicCacheTest, CacheCountersReportTraffic) {
   WorkflowContext ctx;
   CompiledWorkflow compiled = RandomCompiled(&ctx, 1, 4, 2);
@@ -550,8 +501,6 @@ TEST(SymbolicCacheTest, CacheCountersReportTraffic) {
   }
   ASSERT_FALSE(compiled.impossible());
   ReductionCache cache;
-  obs::MetricsRegistry metrics;
-  cache.AttachMetrics(&metrics);
   const Guard* g = compiled.GuardFor(
       EventLiteral::Positive(*compiled.symbols().begin()));
   Announcement ann{AnnouncementKind::kOccurred,
@@ -560,11 +509,9 @@ TEST(SymbolicCacheTest, CacheCountersReportTraffic) {
                     ctx.residuator()->cache_misses();
   ReduceGuard(ctx.guards(), ctx.residuator(), g, ann, &cache);
   ReduceGuard(ctx.guards(), ctx.residuator(), g, ann, &cache);
-  if (cache.hits() + cache.misses() > 0) {
-    EXPECT_EQ(metrics.counter("guards.reduction_cache_hits")->value(),
-              cache.hits());
-    EXPECT_EQ(metrics.counter("guards.reduction_cache_misses")->value(),
-              cache.misses());
+  // The repeated reduction hits the memo wherever the first one missed.
+  if (cache.misses() > 0) {
+    EXPECT_GT(cache.hits(), 0u);
   }
   // Any ◇-bearing guard reduction residuates, so the residuator tallies
   // grow too (≥, not ==: the compile itself may have residuated already).
