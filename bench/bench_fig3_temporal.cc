@@ -88,13 +88,13 @@ void BM_GuardStateSpace(benchmark::State& state) {
   std::set<SymbolId> symbols;
   for (size_t i = 0; i < k; ++i) symbols.insert(static_cast<SymbolId>(i));
   for (auto _ : state) {
-    std::vector<GuardPoint> space = GuardStateSpace(symbols);
-    benchmark::DoNotOptimize(space.size());
-    state.counters["points"] = static_cast<double>(space.size());
+    GuardTruthTable table(symbols);
+    benchmark::DoNotOptimize(table.all().data());
+    state.counters["points"] = static_cast<double>(table.point_count());
   }
   state.SetLabel("2^k * k! * (k+1) points");
 }
-BENCHMARK(BM_GuardStateSpace)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
+BENCHMARK(BM_GuardStateSpace)->DenseRange(1, 6);
 
 void BM_SimplifyGuard(benchmark::State& state) {
   WorkflowContext ctx;
@@ -118,7 +118,7 @@ void BM_SimplifyGuard(benchmark::State& state) {
         SimplifyGuard(ctx.guards(), guards[i++ % guards.size()]));
   }
 }
-BENCHMARK(BM_SimplifyGuard)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK(BM_SimplifyGuard)->DenseRange(2, 5);
 
 void BM_GuardEquivalence(benchmark::State& state) {
   WorkflowContext ctx;

@@ -33,7 +33,9 @@ uint64_t Histogram::Percentile(double p) const {
   for (size_t i = 0; i < buckets_.size(); ++i) {
     seen += buckets_[i];
     if (seen >= rank) {
-      return i < bounds_.size() ? bounds_[i] : max_;
+      // A bucket's bound can exceed every sample in it; no percentile lies
+      // outside the observed range.
+      return i < bounds_.size() ? std::clamp(bounds_[i], min(), max_) : max_;
     }
   }
   return max_;

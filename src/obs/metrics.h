@@ -57,7 +57,8 @@ class Histogram {
   double Mean() const {
     return count_ == 0 ? 0.0 : static_cast<double>(sum_) / count_;
   }
-  /// Approximate percentile (p in [0,1]) from the bucket upper bounds.
+  /// Approximate percentile (p in [0,1]): the upper bound of the bucket
+  /// holding the p-th sample, clamped to [min(), max()].
   uint64_t Percentile(double p) const;
 
   /// Adds `other`'s samples into this histogram (bucket-wise; count, sum,

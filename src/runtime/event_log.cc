@@ -1,6 +1,7 @@
 #include "runtime/event_log.h"
 
 #include <charconv>
+#include <limits>
 #include <utility>
 
 #include "common/strings.h"
@@ -433,6 +434,13 @@ Result<EventLog> EventLog::Parse(const Alphabet& alphabet,
     auto literal = alphabet.ParseLiteral(literal_field);
     if (!literal.ok()) return literal.status();
     record.literal = literal.value();
+    // A checkpoint opening the file may claim any coverage; a suffix that
+    // would carry total_records() past 2^64 - 1 is corruption, not a log.
+    if (log.total_records() == std::numeric_limits<uint64_t>::max()) {
+      return Status::InvalidArgument(
+          StrCat("log record at line ", lineno,
+                 " overflows the record count of the checkpoint above it"));
+    }
     log.records_.push_back(record);
   }
   return log;

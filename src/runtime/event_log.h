@@ -126,7 +126,8 @@ class EventLog {
   /// Strictly parses a serialized log (v2 or v3). Literal names must
   /// already be interned in `alphabet` (recovery re-parses the workflow
   /// spec first). Fails on format errors, unknown events, any checksum
-  /// mismatch, decreasing stamps, or a missing/mismatching trailer.
+  /// mismatch, decreasing stamps, a record count (checkpoint coverage plus
+  /// suffix) past 2^64 - 1, or a missing/mismatching trailer.
   static Result<EventLog> Deserialize(const Alphabet& alphabet,
                                       std::string_view text);
 

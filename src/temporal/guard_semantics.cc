@@ -43,40 +43,84 @@ bool HoldsAt(const Trace& u, size_t index, const Guard* g) {
   return false;
 }
 
-std::vector<GuardPoint> GuardStateSpace(const std::set<SymbolId>& symbols) {
-  // Build maximal traces over a dense re-indexing of `symbols`, then map
-  // back to the caller's symbol ids.
+GuardTruthTable::GuardTruthTable(const std::set<SymbolId>& symbols)
+    : symbol_count_(symbols.size()),
+      traces_(EnumerateMaximalTraces(symbols.size())) {
+  // The traces come over a dense re-indexing of `symbols`; map them back
+  // to the caller's symbol ids in place.
   std::vector<SymbolId> ordered(symbols.begin(), symbols.end());
-  std::vector<GuardPoint> out;
-  for (const Trace& dense : EnumerateMaximalTraces(ordered.size())) {
-    Trace mapped;
-    mapped.reserve(dense.size());
-    for (EventLiteral l : dense) {
-      mapped.push_back(EventLiteral(ordered[l.symbol()], l.complemented()));
-    }
-    for (size_t i = 0; i <= mapped.size(); ++i) {
-      out.push_back(GuardPoint{mapped, i});
+  for (Trace& u : traces_) {
+    for (EventLiteral& l : u) {
+      l = EventLiteral(ordered[l.symbol()], l.complemented());
     }
   }
-  return out;
+  all_.assign((point_count() + 63) / 64, 0);
+  SetPoints(&all_, 0, point_count());
 }
 
-std::vector<bool> TruthVector(const Guard* g,
-                              const std::vector<GuardPoint>& space) {
-  std::vector<bool> out;
-  out.reserve(space.size());
-  for (const GuardPoint& p : space) {
-    out.push_back(HoldsAt(p.trace, p.index, g));
+void GuardTruthTable::SetPoints(Vector* v, size_t begin, size_t end) {
+  for (size_t p = begin; p < end; ++p) {
+    (*v)[p / 64] |= uint64_t{1} << (p % 64);
   }
-  return out;
+}
+
+const GuardTruthTable::Vector& GuardTruthTable::Truth(const Guard* g) {
+  auto it = memo_.find(g);
+  if (it != memo_.end()) return it->second;
+  const size_t width = points_per_trace();
+  Vector v(all_.size(), 0);
+  switch (g->kind()) {
+    case GuardKind::kFalse:
+      break;
+    case GuardKind::kTrue:
+      v = all_;
+      break;
+    case GuardKind::kBox:
+    case GuardKind::kNeg:
+      // With ℓ at position j of trace t (j = k when ℓ is absent), □ℓ holds
+      // at indices j+1..k and ¬ℓ, its complement, at 0..j.
+      for (size_t t = 0; t < traces_.size(); ++t) {
+        const Trace& u = traces_[t];
+        const size_t j =
+            std::find(u.begin(), u.end(), g->literal()) - u.begin();
+        const size_t first = t * width;
+        if (g->kind() == GuardKind::kBox) {
+          SetPoints(&v, first + j + 1, first + width);
+        } else {
+          SetPoints(&v, first, first + j + 1);
+        }
+      }
+      break;
+    case GuardKind::kDiamond:
+      for (size_t t = 0; t < traces_.size(); ++t) {
+        if (Satisfies(traces_[t], g->expr())) {
+          SetPoints(&v, t * width, (t + 1) * width);
+        }
+      }
+      break;
+    case GuardKind::kAnd:
+      v = all_;
+      for (const Guard* c : g->children()) {
+        const Vector& cv = Truth(c);
+        for (size_t w = 0; w < v.size(); ++w) v[w] &= cv[w];
+      }
+      break;
+    case GuardKind::kOr:
+      for (const Guard* c : g->children()) {
+        const Vector& cv = Truth(c);
+        for (size_t w = 0; w < v.size(); ++w) v[w] |= cv[w];
+      }
+      break;
+  }
+  return memo_.emplace(g, std::move(v)).first->second;
 }
 
 bool GuardEquivalent(const Guard* a, const Guard* b) {
   std::set<SymbolId> symbols = GuardSymbols(a);
   std::set<SymbolId> symbols_b = GuardSymbols(b);
   symbols.insert(symbols_b.begin(), symbols_b.end());
-  std::vector<GuardPoint> space = GuardStateSpace(symbols);
-  return TruthVector(a, space) == TruthVector(b, space);
+  GuardTruthTable table(symbols);
+  return table.Truth(a) == table.Truth(b);
 }
 
 }  // namespace cdes

@@ -1,6 +1,9 @@
 #ifndef CDES_TEMPORAL_GUARD_SEMANTICS_H_
 #define CDES_TEMPORAL_GUARD_SEMANTICS_H_
 
+#include <cstdint>
+#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "algebra/semantics.h"
@@ -26,27 +29,59 @@ bool HoldsAtExpr(const Trace& u, size_t index, const Expr* e);
 ///   +/| — boolean.
 bool HoldsAt(const Trace& u, size_t index, const Guard* g);
 
-/// A point of the guard state space: a maximal trace and an index into it.
-struct GuardPoint {
-  Trace trace;
-  size_t index;
+/// The guard state space over a symbol set as one truth table. Its points
+/// are the (maximal trace, index) pairs over the k symbols (U_T of §4.1,
+/// index 0..k), and a guard that mentions only those symbols is fully
+/// characterized by its truth values on them.
+///
+/// Each maximal trace is stored once (EnumerateMaximalTraces order, mapped
+/// to the caller's symbol ids). Points are trace-major: index i of trace t
+/// is point t·(k+1) + i, 2^k·k!·(k+1) points in all. A truth vector packs
+/// them 64 to a word, point p in bit p % 64 of word p / 64, and every bit
+/// past the last point is zero. Truth() decides □ℓ and ¬ℓ from ℓ's
+/// position in each trace, ◇E once per trace (it holds at every index of a
+/// trace or at none), and And/Or word by word from their children's
+/// vectors; every node's vector is memoized for the table's lifetime.
+class GuardTruthTable {
+ public:
+  using Vector = std::vector<uint64_t>;
+
+  explicit GuardTruthTable(const std::set<SymbolId>& symbols);
+
+  /// The maximal traces over the symbols, each once.
+  const std::vector<Trace>& traces() const { return traces_; }
+  /// Indices 0..k of each trace.
+  size_t points_per_trace() const { return symbol_count_ + 1; }
+  size_t point_count() const { return traces_.size() * points_per_trace(); }
+
+  /// Every point: the truth vector of ⊤.
+  const Vector& all() const { return all_; }
+
+  /// g's truth vector: bit t·(k+1) + i is HoldsAt(traces()[t], i, g). The
+  /// reference stays valid for the table's lifetime, and so must `g`.
+  const Vector& Truth(const Guard* g);
+
+  static bool Bit(const Vector& v, size_t point) {
+    return ((v[point / 64] >> (point % 64)) & 1) != 0;
+  }
+
+ private:
+  /// Sets points [begin, end) of `v`.
+  static void SetPoints(Vector* v, size_t begin, size_t end);
+
+  size_t symbol_count_;
+  std::vector<Trace> traces_;
+  Vector all_;
+  std::unordered_map<const Guard*, Vector> memo_;
 };
 
-/// All (maximal trace, index) points over `symbols` (in SymbolId order of
-/// the set passed); guards over those symbols are fully characterized by
-/// their truth values on these points. Size: 2^k · k! · (k+1).
-std::vector<GuardPoint> GuardStateSpace(const std::set<SymbolId>& symbols);
-
 /// Most symbols a guard (or dependency) may mention for the exact checks
-/// that enumerate its GuardStateSpace: compile-time canonicalization
+/// over its GuardTruthTable: compile-time canonicalization
 /// (SimplifyGuard), the analyzer's ≡⊤ / ≡0 checks (CL002–CL004) and the
-/// checker's CL021 filter. 6 symbols are 2^6·6!·7 = 322,560 points; beyond
-/// that only the cheap guard-constructor rules apply.
+/// checker's CL021 filter. 6 symbols are 2^6·6! = 46,080 maximal traces
+/// and 322,560 points, 5,040 words per truth vector; beyond that only the
+/// cheap guard-constructor rules apply.
 inline constexpr size_t kMaxStateSpaceSymbols = 6;
-
-/// Truth values of `g` over `space`.
-std::vector<bool> TruthVector(const Guard* g,
-                              const std::vector<GuardPoint>& space);
 
 /// Semantic equivalence over the union of the two guards' symbols.
 bool GuardEquivalent(const Guard* a, const Guard* b);

@@ -5,39 +5,40 @@
 namespace cdes {
 namespace {
 
+using Vector = GuardTruthTable::Vector;
+
 // All pruning below works relative to a *care set*: points of the state
 // space where the rewritten guard must agree with the target vector.
 // Points outside the care set are don't-cares (e.g. inside an Or child,
-// points where another sibling is already true).
+// points where another sibling is already true). Care sets are packed like
+// truth vectors, so the bits past the last point are never cared about.
 
-bool MatchesOnCare(const std::vector<bool>& vec, const std::vector<bool>& care,
-                   const std::vector<bool>& target) {
-  for (size_t i = 0; i < vec.size(); ++i) {
-    if (care[i] && vec[i] != target[i]) return false;
+bool MatchesOnCare(const Vector& vec, const Vector& care,
+                   const Vector& target) {
+  for (size_t w = 0; w < vec.size(); ++w) {
+    if ((care[w] & (vec[w] ^ target[w])) != 0) return false;
   }
   return true;
 }
 
-bool ConstantOnCare(const std::vector<bool>& care,
-                    const std::vector<bool>& target, bool value) {
-  for (size_t i = 0; i < care.size(); ++i) {
-    if (care[i] && target[i] != value) return false;
+bool ConstantOnCare(const Vector& care, const Vector& target, bool value) {
+  const uint64_t flip = value ? ~uint64_t{0} : 0;
+  for (size_t w = 0; w < care.size(); ++w) {
+    if ((care[w] & (target[w] ^ flip)) != 0) return false;
   }
   return true;
 }
 
-const Guard* Prune(GuardArena* arena, const Guard* g,
-                   const std::vector<GuardPoint>& space,
-                   const std::vector<bool>& care,
-                   const std::vector<bool>& target) {
+const Guard* Prune(GuardArena* arena, const Guard* g, GuardTruthTable* table,
+                   const Vector& care, const Vector& target) {
   if (ConstantOnCare(care, target, true)) return arena->True();
   if (ConstantOnCare(care, target, false)) return arena->False();
   if (g->kind() != GuardKind::kAnd && g->kind() != GuardKind::kOr) return g;
 
   // Promote a child that already matches on the care set.
   for (const Guard* c : g->children()) {
-    if (MatchesOnCare(TruthVector(c, space), care, target)) {
-      return Prune(arena, c, space, care, target);
+    if (MatchesOnCare(table->Truth(c), care, target)) {
+      return Prune(arena, c, table, care, target);
     }
   }
 
@@ -55,7 +56,7 @@ const Guard* Prune(GuardArena* arena, const Guard* g,
       const Guard* candidate = current->kind() == GuardKind::kAnd
                                    ? arena->And(kids)
                                    : arena->Or(kids);
-      if (MatchesOnCare(TruthVector(candidate, space), care, target)) {
+      if (MatchesOnCare(table->Truth(candidate), care, target)) {
         current = candidate;
         changed = true;
         break;
@@ -64,7 +65,7 @@ const Guard* Prune(GuardArena* arena, const Guard* g,
   }
   if (current->kind() != GuardKind::kAnd &&
       current->kind() != GuardKind::kOr) {
-    return Prune(arena, current, space, care, target);
+    return Prune(arena, current, table, care, target);
   }
 
   // Simplify each child under the don't-cares granted by its siblings:
@@ -72,36 +73,31 @@ const Guard* Prune(GuardArena* arena, const Guard* g,
   // true) lets the child do anything; dually for And with a false sibling.
   bool is_and = current->kind() == GuardKind::kAnd;
   std::vector<const Guard*> kids(current->children());
+  Vector child_care;
   for (size_t i = 0; i < kids.size(); ++i) {
-    std::vector<bool> sibling_covers(space.size(), false);
+    child_care = care;
     for (size_t j = 0; j < kids.size(); ++j) {
       if (j == i) continue;
-      std::vector<bool> vj = TruthVector(kids[j], space);
-      for (size_t p = 0; p < space.size(); ++p) {
+      const Vector& vj = table->Truth(kids[j]);
+      for (size_t w = 0; w < child_care.size(); ++w) {
         // Or: sibling true covers target-true points.
         // And: sibling false covers target-false points.
-        if (is_and ? (!vj[p] && !target[p]) : (vj[p] && target[p])) {
-          sibling_covers[p] = true;
-        }
+        child_care[w] &= is_and ? (vj[w] | target[w]) : ~(vj[w] & target[w]);
       }
     }
-    std::vector<bool> child_care(space.size());
-    for (size_t p = 0; p < space.size(); ++p) {
-      child_care[p] = care[p] && !sibling_covers[p];
-    }
-    kids[i] = Prune(arena, kids[i], space, child_care, target);
+    kids[i] = Prune(arena, kids[i], table, child_care, target);
   }
   const Guard* rebuilt = is_and ? arena->And(kids) : arena->Or(kids);
   // The rebuild must still match; fall back to the input if a degenerate
   // interaction between don't-cares broke it (cannot happen for correct
   // care propagation, but we never trade correctness for succinctness).
-  if (!MatchesOnCare(TruthVector(rebuilt, space), care, target)) {
+  if (!MatchesOnCare(table->Truth(rebuilt), care, target)) {
     return current;
   }
   // Child simplification may enable further drops (e.g. a child weakened
   // into subsuming a sibling); iterate to a fixpoint.
   if (rebuilt != current) {
-    return Prune(arena, rebuilt, space, care, target);
+    return Prune(arena, rebuilt, table, care, target);
   }
   return rebuilt;
 }
@@ -109,23 +105,19 @@ const Guard* Prune(GuardArena* arena, const Guard* g,
 }  // namespace
 
 const Guard* SimplifyGuard(GuardArena* arena, const Guard* g) {
-  std::set<SymbolId> symbols = GuardSymbols(g);
-  std::vector<GuardPoint> space = GuardStateSpace(symbols);
-  std::vector<bool> target = TruthVector(g, space);
-  std::vector<bool> care(space.size(), true);
-  return Prune(arena, g, space, care, target);
+  GuardTruthTable table(GuardSymbols(g));
+  return Prune(arena, g, &table, table.all(), table.Truth(g));
 }
 
 bool GuardIsValid(const Guard* g) {
-  std::vector<GuardPoint> space = GuardStateSpace(GuardSymbols(g));
-  std::vector<bool> v = TruthVector(g, space);
-  return std::all_of(v.begin(), v.end(), [](bool b) { return b; });
+  GuardTruthTable table(GuardSymbols(g));
+  return table.Truth(g) == table.all();
 }
 
 bool GuardIsUnsatisfiable(const Guard* g) {
-  std::vector<GuardPoint> space = GuardStateSpace(GuardSymbols(g));
-  std::vector<bool> v = TruthVector(g, space);
-  return std::none_of(v.begin(), v.end(), [](bool b) { return b; });
+  GuardTruthTable table(GuardSymbols(g));
+  const Vector& v = table.Truth(g);
+  return std::all_of(v.begin(), v.end(), [](uint64_t w) { return w == 0; });
 }
 
 }  // namespace cdes

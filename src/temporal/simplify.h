@@ -8,20 +8,25 @@ namespace cdes {
 
 /// Semantically canonicalizing simplifier.
 ///
-/// Computes the guard's truth vector over the state space of its mentioned
-/// symbols (exact, since guards only inspect those symbols) and then
-/// greedily prunes: constants, child replacement, and child dropping in
-/// And/Or nodes, accepting any rewrite that preserves the vector. This is
-/// how guards collapse to the paper's succinct forms, e.g. Example 9's
-/// G(D_<, e) = ¬f and G(D_<, f) = ◇ē + □e.
+/// Computes the guard's truth vector over the GuardTruthTable of its
+/// mentioned symbols (exact, since guards only inspect those symbols) and
+/// then greedily prunes: constants, child replacement, and child dropping
+/// in And/Or nodes, accepting any rewrite that preserves the vector on the
+/// care set. This is how guards collapse to the paper's succinct forms,
+/// e.g. Example 9's G(D_<, e) = ¬f and G(D_<, f) = ◇ē + □e.
 ///
-/// Exponential in the number of mentioned symbols (2^k·k!·(k+1) points);
-/// guards of one dependency mention |Γ_D| symbols, which is small in
-/// practice. For guards over many symbols prefer the cheap constructor
-/// rules and runtime reduction only.
+/// Exponential in the number k of mentioned symbols: the table holds the
+/// 2^k·k! maximal traces once, and each truth vector is 2^k·k!·(k+1) bits
+/// packed 64 to a word (360 words at k = 5, 5,040 at k = 6). Every node
+/// the pruning visits or builds gets its vector once — □ℓ/¬ℓ and ◇E by one
+/// pass over the traces, And/Or by word-wise operations on its children's
+/// vectors — and each care, target and sibling-cover test is a masked word
+/// operation. Guards of one dependency mention |Γ_D| symbols, which is
+/// small in practice; beyond kMaxStateSpaceSymbols callers keep the cheap
+/// constructor rules and runtime reduction only.
 const Guard* SimplifyGuard(GuardArena* arena, const Guard* g);
 
-/// True iff `g` holds on every point of its state space (i.e. ≡ ⊤).
+/// True iff `g` holds on every point of its truth table (i.e. ≡ ⊤).
 bool GuardIsValid(const Guard* g);
 
 /// True iff `g` holds on no point (i.e. ≡ 0).

@@ -562,6 +562,43 @@ TEST(EventLogCodecTest, RecordChecksumCoversCanonicalStamp) {
   EXPECT_EQ(raw.status().message(), "malformed log record at line 2");
 }
 
+// A checkpoint opening the file may claim any coverage (compaction dropped
+// the prefix it covers), but not one that the records after it carry past
+// 2^64 - 1: total_records() would wrap to 0 and last_stamp() would fail
+// its CHECK. Both loaders refuse such a log; the section alone still loads.
+TEST(EventLogV3Test, RecordCountOverflowRejected) {
+  Alphabet alphabet;
+  alphabet.Intern("e");
+  EventLog::CheckpointSection section;
+  section.covered = std::numeric_limits<uint64_t>::max();
+  section.last_stamp = OccurrenceStamp{10, 0};
+  section.payload = "meta";
+  const std::string opening =
+      EventLog::HeaderLine(4) + EventLog::SectionText(section);
+  const std::string suffix = EventLog::RecordLine(
+      {OccurrenceStamp{20, 1}, EventLiteral::Positive(0)}, alphabet);
+  auto sealed = [](const std::string& body) {
+    return StrCat(body, "checksum ", reference::Fnv1a(body), "\n");
+  };
+
+  auto alone = EventLog::Deserialize(alphabet, sealed(opening));
+  ASSERT_TRUE(alone.ok()) << alone.status();
+  EXPECT_EQ(alone.value().total_records(), section.covered);
+  EXPECT_EQ(alone.value().last_stamp(), section.last_stamp);
+
+  auto expect_overflow = [](const Result<EventLog>& got) {
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().message(),
+              "log record at line 4 overflows the record count of the "
+              "checkpoint above it");
+  };
+  const std::string sealed_log = sealed(opening + suffix);
+  expect_overflow(EventLog::Deserialize(alphabet, sealed_log));
+  expect_overflow(EventLog::LoadTolerant(alphabet, sealed_log));
+  expect_overflow(EventLog::LoadTolerant(alphabet, opening + suffix));
+}
+
 /// Where the codec and the reference first disagree on `text` (strict and
 /// tolerant), or "" when they agree. Tallies the verdicts in `accepted`
 /// and `rejected` ([0] strict, [1] tolerant).

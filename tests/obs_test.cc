@@ -77,6 +77,19 @@ TEST(MetricsTest, PercentileEdgeCases) {
   h->Observe(2);
   EXPECT_EQ(h->Percentile(-0.5), h->Percentile(0.0));
   EXPECT_EQ(h->Percentile(1.5), h->Percentile(1.0));
+  // A histogram of zeros reports zeros, not its first bucket's bound (as a
+  // co-located engine run's sched.decision_latency_us would).
+  obs::Histogram* zeros = registry.histogram("zeros", {1, 2, 4});
+  for (int i = 0; i < 10; ++i) zeros->Observe(0);
+  EXPECT_EQ(zeros->Percentile(0.5), 0u);
+  EXPECT_EQ(zeros->Percentile(0.99), 0u);
+  EXPECT_EQ(zeros->max(), 0u);
+  // A single sample below its bucket's bound is every percentile.
+  obs::Histogram* one = registry.histogram("one", {1, 10, 100});
+  one->Observe(37);
+  EXPECT_EQ(one->Percentile(0.0), 37u);
+  EXPECT_EQ(one->Percentile(0.5), 37u);
+  EXPECT_EQ(one->Percentile(1.0), 37u);
 }
 
 TEST(MetricsTest, HistogramMergeCombinesPerShardSamples) {

@@ -105,11 +105,14 @@ TEST(GuardArenaIdentityTest, DiamondMergePreservesSemantics) {
     std::set<SymbolId> symbols = MentionedSymbols(e1);
     std::set<SymbolId> s2 = MentionedSymbols(e2);
     symbols.insert(s2.begin(), s2.end());
-    for (const GuardPoint& p : GuardStateSpace(symbols)) {
-      bool unmerged = Satisfies(p.trace, e1) || Satisfies(p.trace, e2);
-      EXPECT_EQ(HoldsAt(p.trace, p.index, merged), unmerged)
-          << ExprToString(e1, *ctx.alphabet()) << " / "
-          << ExprToString(e2, *ctx.alphabet());
+    GuardTruthTable table(symbols);
+    for (const Trace& u : table.traces()) {
+      bool unmerged = Satisfies(u, e1) || Satisfies(u, e2);
+      for (size_t i = 0; i <= u.size(); ++i) {
+        EXPECT_EQ(HoldsAt(u, i, merged), unmerged)
+            << ExprToString(e1, *ctx.alphabet()) << " / "
+            << ExprToString(e2, *ctx.alphabet());
+      }
     }
   }
 }

@@ -579,19 +579,19 @@ TEST_F(SpecTest, ParsedWorkflowCompilesToExpectedGuards) {
   // derivation); conjunction with d3's contribution keeps it at least as
   // strong as □c_book.
   const Guard* g = cw.GuardFor(EventLiteral::Positive(c_buy));
-  for (const Trace& u : EnumerateMaximalTraces(0)) {
-    (void)u;  // silence unused warning pattern when no traces
-  }
   // The guard must entail □c_book: wherever it holds, c_book occurred.
   std::set<SymbolId> symbols = GuardSymbols(g);
   symbols.insert(c_book);
-  for (const GuardPoint& p : GuardStateSpace(symbols)) {
-    if (HoldsAt(p.trace, p.index, g)) {
-      bool book_committed = false;
-      for (size_t j = 0; j < p.index; ++j) {
-        book_committed |= (p.trace[j] == EventLiteral::Positive(c_book));
+  GuardTruthTable table(symbols);
+  for (const Trace& u : table.traces()) {
+    for (size_t i = 0; i <= u.size(); ++i) {
+      if (HoldsAt(u, i, g)) {
+        bool book_committed = false;
+        for (size_t j = 0; j < i; ++j) {
+          book_committed |= (u[j] == EventLiteral::Positive(c_book));
+        }
+        EXPECT_TRUE(book_committed);
       }
-      EXPECT_TRUE(book_committed);
     }
   }
 }

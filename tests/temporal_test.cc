@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "algebra/expr.h"
 #include "algebra/generator.h"
 #include "algebra/residuation.h"
+#include "guards/context.h"
 #include "temporal/guard.h"
 #include "temporal/guard_semantics.h"
 #include "temporal/reduction.h"
@@ -185,10 +188,14 @@ TEST_F(TemporalTest, StabilityOfOccurrence) {
 }
 
 TEST_F(TemporalTest, GuardStateSpaceSize) {
-  std::set<SymbolId> symbols = {e_, f_};
-  // 2^2 · 2! maximal traces × 3 indices.
-  EXPECT_EQ(GuardStateSpace(symbols).size(), 24u);
-  EXPECT_EQ(GuardStateSpace({}).size(), 1u);
+  GuardTruthTable table({e_, f_});
+  // 2^2 · 2! maximal traces × 3 indices, packed into one word.
+  EXPECT_EQ(table.traces().size(), 8u);
+  EXPECT_EQ(table.point_count(), 24u);
+  EXPECT_EQ(table.all(), GuardTruthTable::Vector{(uint64_t{1} << 24) - 1});
+  GuardTruthTable empty({});
+  EXPECT_EQ(empty.point_count(), 1u);
+  EXPECT_EQ(empty.all(), GuardTruthTable::Vector{1});
 }
 
 // ---------------------------------------------------------- Simplifier
@@ -338,6 +345,160 @@ TEST_F(TemporalTest, PruneImpossibleLiteral) {
   EXPECT_EQ(PruneImpossibleLiteral(&arena_, e, pf_), Atom(ne_));
   EXPECT_EQ(PruneImpossibleLiteral(&arena_, Atom(pe_), pe_), arena_.Zero());
   EXPECT_EQ(PruneImpossibleLiteral(&arena_, e, pg_), e);
+}
+
+// ------------------------------------------------- Packed truth tables
+
+// A random guard over symbols {0..k-1}, k >= 1: the conjunction of
+// Definition 2's guards for one literal under one or two random
+// dependencies (random expressions, chains and ordered-if-all families
+// over random symbol subsets), or a random And/Or nest of □ℓ, ¬ℓ, ◇E and
+// such synthesized guards. Constants are redrawn, up to 20 times.
+const Guard* RandomGuardOver(WorkflowContext* ctx, Rng* rng, size_t k) {
+  RandomExprOptions options;
+  options.symbol_count = k;
+  options.max_depth = 3;
+  options.constant_probability = 0;
+  auto literal = [&] {
+    return EventLiteral(static_cast<SymbolId>(rng->Uniform(k)),
+                        rng->Bernoulli(0.5));
+  };
+  auto dependency = [&]() -> const Expr* {
+    std::vector<SymbolId> subset;
+    for (SymbolId s = 0; s < k; ++s) {
+      if (rng->Bernoulli(0.7)) {
+        subset.insert(subset.begin() + rng->Uniform(subset.size() + 1), s);
+      }
+    }
+    switch (subset.size() < 2 ? 0 : rng->Uniform(3)) {
+      case 0:
+        return GenerateRandomExpr(ctx->exprs(), rng, options);
+      case 1:
+        return Chain(ctx->exprs(), subset);
+      default:
+        return OrderedIfAll(ctx->exprs(), subset);
+    }
+  };
+  auto synthesized = [&] {
+    const Expr* d = dependency();
+    std::set<SymbolId> mentioned = MentionedSymbols(d);
+    EventLiteral e = literal();
+    if (!mentioned.empty()) {
+      auto it = mentioned.begin();
+      std::advance(it, rng->Uniform(mentioned.size()));
+      e = EventLiteral(*it, rng->Bernoulli(0.5));
+    }
+    const Guard* g = ctx->synthesizer()->Synthesize(d, e);
+    return rng->Bernoulli(0.5)
+               ? g
+               : ctx->guards()->And(
+                     g, ctx->synthesizer()->Synthesize(dependency(), e));
+  };
+  std::function<const Guard*(int)> draw = [&](int depth) -> const Guard* {
+    switch (rng->Uniform(depth == 0 ? 4 : 6)) {
+      case 0:
+        return ctx->guards()->Box(literal());
+      case 1:
+        return ctx->guards()->Neg(literal());
+      case 2:
+        return ctx->guards()->Diamond(
+            GenerateRandomExpr(ctx->exprs(), rng, options));
+      case 3:
+        return synthesized();
+      default: {
+        std::vector<const Guard*> kids;
+        for (size_t n = 2 + rng->Uniform(2); n > 0; --n) {
+          kids.push_back(draw(depth - 1));
+        }
+        return rng->Bernoulli(0.5) ? ctx->guards()->And(kids)
+                                   : ctx->guards()->Or(kids);
+      }
+    }
+  };
+  // Redraw constants (a third of the draws), which test nothing.
+  const Guard* g = nullptr;
+  for (int tries = 0; tries < 20; ++tries) {
+    g = rng->Bernoulli(0.5) ? synthesized() : draw(2);
+    if (!g->IsTrue() && !g->IsFalse()) break;
+  }
+  return g;
+}
+
+// Differential check of the packed evaluator against the per-point
+// reference: for random guards and their children, the bit of (trace t,
+// index i) is HoldsAt(trace t, i), and the bits past the last point are
+// zero.
+TEST(GuardTruthTableTest, PackedBitsMatchHoldsAt) {
+  WorkflowContext ctx;
+  Rng rng(2024);
+  size_t checked_points = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const size_t k = 1 + iter % 5;
+    const Guard* g = RandomGuardOver(&ctx, &rng, k);
+    GuardTruthTable table(GuardSymbols(g));
+    std::vector<const Guard*> nodes = {g};
+    nodes.insert(nodes.end(), g->children().begin(), g->children().end());
+    for (const Guard* node : nodes) {
+      const GuardTruthTable::Vector& v = table.Truth(node);
+      ASSERT_EQ(v.size(), table.all().size());
+      for (size_t t = 0; t < table.traces().size(); ++t) {
+        const Trace& u = table.traces()[t];
+        for (size_t i = 0; i <= u.size(); ++i) {
+          const size_t p = t * table.points_per_trace() + i;
+          ASSERT_EQ(GuardTruthTable::Bit(v, p), HoldsAt(u, i, node))
+              << GuardToString(node, *ctx.alphabet()) << " at trace " << t
+              << ", index " << i;
+          ++checked_points;
+        }
+      }
+      for (size_t p = table.point_count(); p < 64 * v.size(); ++p) {
+        ASSERT_FALSE(GuardTruthTable::Bit(v, p)) << "padding bit " << p;
+      }
+    }
+  }
+  EXPECT_GT(checked_points, 100000u);
+}
+
+// Pins what the simplifier and the exact predicates decide for random
+// guards: the simplified guard's text, GuardIsValid, GuardIsUnsatisfiable,
+// GuardEquivalent against the previous guard, and the arena's node count
+// after each call (so the order in which simplification creates nodes is
+// pinned too). A change to the evaluator that keeps compiled guards must
+// keep this constant; one meant to change them re-pins it from this test
+// built against the parent.
+TEST(SimplifyDigestTest, RandomGuardsMatchPinnedDigest) {
+  WorkflowContext ctx;
+  for (const char* name : {"a", "b", "c", "d", "e"}) {
+    ctx.alphabet()->Intern(name);
+  }
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  auto mix = [&digest](std::string_view text) {
+    for (char c : text) {
+      digest ^= static_cast<unsigned char>(c);
+      digest *= 0x100000001B3ULL;
+    }
+    digest ^= 0xFF;
+    digest *= 0x100000001B3ULL;
+  };
+  Rng rng(9901);
+  const Guard* previous = ctx.guards()->True();
+  size_t rewritten = 0;
+  for (int iter = 0; iter < 2500; ++iter) {
+    const size_t k = 1 + iter % 5;
+    const Guard* g = RandomGuardOver(&ctx, &rng, k);
+    const Guard* s = SimplifyGuard(ctx.guards(), g);
+    if (s != g) ++rewritten;
+    mix(GuardToString(g, *ctx.alphabet()));
+    mix(GuardToString(s, *ctx.alphabet()));
+    mix(GuardIsValid(g) ? "valid" : "-");
+    mix(GuardIsUnsatisfiable(g) ? "unsat" : "-");
+    mix(GuardEquivalent(g, previous) ? "equiv" : "-");
+    mix(std::to_string(ctx.guards()->node_count()));
+    previous = g;
+  }
+  // The simplifier rewrites most guards, so the digest is not vacuous.
+  EXPECT_GT(rewritten, 500u);
+  EXPECT_EQ(digest, 1178818600880873551ULL) << "digest " << digest;
 }
 
 }  // namespace
