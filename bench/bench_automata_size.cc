@@ -8,7 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <set>
+#include <unordered_set>
 
 #include "algebra/generator.h"
 #include "common/strings.h"
@@ -18,13 +18,6 @@
 
 namespace cdes {
 namespace {
-
-size_t GuardNodeCount(const Guard* g, std::set<const Guard*>* seen) {
-  if (!seen->insert(g).second) return 0;
-  size_t n = 1;
-  for (const Guard* c : g->children()) n += GuardNodeCount(c, seen);
-  return n;
-}
 
 struct SizeRow {
   size_t n;
@@ -42,7 +35,7 @@ SizeRow MeasureOrderedIfAll(size_t n) {
   const Expr* d = OrderedIfAll(ctx.exprs(), symbols);
   DependencyAutomaton automaton =
       BuildDependencyAutomaton(ctx.residuator(), d);
-  std::set<const Guard*> seen;
+  std::unordered_set<const Guard*> seen;
   size_t guard_nodes = 0;
   for (SymbolId s : symbols) {
     for (EventLiteral l :
@@ -64,7 +57,7 @@ SizeRow MeasureChain(size_t n) {
   const Expr* d = Chain(ctx.exprs(), symbols);
   DependencyAutomaton automaton =
       BuildDependencyAutomaton(ctx.residuator(), d);
-  std::set<const Guard*> seen;
+  std::unordered_set<const Guard*> seen;
   size_t guard_nodes = 0;
   for (SymbolId s : symbols) {
     for (EventLiteral l :

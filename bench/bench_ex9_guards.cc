@@ -13,8 +13,6 @@
 #include "common/strings.h"
 #include "guards/context.h"
 #include "guards/workflow.h"
-#include "runtime/event_actor.h"
-#include "temporal/flat_eval.h"
 #include "temporal/reduction.h"
 #include "temporal/simplify.h"
 #include "bench_util.h"
@@ -210,27 +208,15 @@ void BM_SteadyStateReduceCached(benchmark::State& state) {
 }
 BENCHMARK(BM_SteadyStateReduceCached);
 
-void BM_EvaluateNowRecursive(benchmark::State& state) {
+void BM_PermitsNow(benchmark::State& state) {
   SteadyStateFixture fx;
   const Guard* g = fx.guards.back();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EventActor::EvaluateNow(g));
+    benchmark::DoNotOptimize(g->PermitsNow());
   }
-  state.SetLabel("recursive walk (pre-PR)");
+  state.SetLabel("verdict stored on the interned node");
 }
-BENCHMARK(BM_EvaluateNowRecursive);
-
-void BM_EvaluateNowFlat(benchmark::State& state) {
-  SteadyStateFixture fx;
-  const Guard* g = fx.guards.back();
-  FlatEvaluator flat;
-  flat.EvaluateNow(g);  // lower + memoize once
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(flat.EvaluateNow(g));
-  }
-  state.SetLabel("compiled flat program, memoized");
-}
-BENCHMARK(BM_EvaluateNowFlat);
+BENCHMARK(BM_PermitsNow);
 
 /// Chrono-measured steady-state comparison exported into BENCH_ex9_guards
 /// .json, so CI can diff the cached/uncached ratio without scraping the

@@ -1,7 +1,7 @@
 // Experiment C1 — §6: "Much of the required symbolic reasoning can be
 // precompiled, leading to efficiency at runtime." We separate the one-time
 // compile cost (guard synthesis + canonicalization) from the per-event
-// runtime cost (announcement assimilation by ReduceGuard + EvaluateNow),
+// runtime cost (announcement assimilation by ReduceGuard + PermitsNow),
 // and show the amortization across events.
 
 #include <benchmark/benchmark.h>
@@ -10,7 +10,6 @@
 #include <chrono>
 
 #include "bench_util.h"
-#include "runtime/event_actor.h"
 #include "temporal/reduction.h"
 
 namespace cdes {
@@ -46,7 +45,7 @@ void PrintAmortization() {
       g = ReduceGuard(ctx.guards(), ctx.residuator(), g,
                       {AnnouncementKind::kOccurred, l});
     }
-    benchmark::DoNotOptimize(EventActor::EvaluateNow(g));
+    benchmark::DoNotOptimize(g->PermitsNow());
   }
   auto t3 = Clock::now();
   double reduce_us =
@@ -126,7 +125,7 @@ void BM_RuntimeReduceAnnouncement(benchmark::State& state) {
 }
 BENCHMARK(BM_RuntimeReduceAnnouncement);
 
-void BM_RuntimeEvaluateNow(benchmark::State& state) {
+void BM_RuntimePermitsNow(benchmark::State& state) {
   WorkflowContext ctx;
   auto parsed = ParseWorkflow(&ctx, bench::kTravelSpec);
   CDES_CHECK(parsed.ok());
@@ -134,10 +133,10 @@ void BM_RuntimeEvaluateNow(benchmark::State& state) {
   const Guard* guard =
       compiled.GuardFor(ctx.alphabet()->ParseLiteral("c_book").value());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EventActor::EvaluateNow(guard));
+    benchmark::DoNotOptimize(guard->PermitsNow());
   }
 }
-BENCHMARK(BM_RuntimeEvaluateNow);
+BENCHMARK(BM_RuntimePermitsNow);
 
 void BM_EndToEndAttemptNoSimplify(benchmark::State& state) {
   // Ablation: unsimplified (raw Definition 2) guards through the full

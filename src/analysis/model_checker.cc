@@ -74,8 +74,7 @@ class ModelChecker {
         compiled_(compiled),
         options_(options),
         space_(ctx, compiled),
-        cache_(ctx->reduction_cache()),
-        flat_(ctx->flat_evaluator()) {}
+        cache_(ctx->reduction_cache()) {}
 
   CheckResult Run() {
     auto start = std::chrono::steady_clock::now();
@@ -462,7 +461,7 @@ class ModelChecker {
                         Announcement{AnnouncementKind::kOccurred, step},
                         cache_);
       }
-      if (flat_->Commit(ctx_->guards(), g)->IsFalse()) {
+      if (CommitNow(ctx_->guards(), g)->IsFalse()) {
         return static_cast<int>(dep);
       }
     }
@@ -546,7 +545,6 @@ class ModelChecker {
   const ModelCheckOptions& options_;
   StateSpace space_;
   ReductionCache* cache_;
-  FlatEvaluator* flat_;
 
   std::unordered_map<CheckState, uint32_t, CheckStateHash> ids_;
   std::vector<StateRecord> records_;

@@ -28,8 +28,7 @@ size_t CheckStateHash::operator()(const CheckState& s) const {
 }
 
 StateSpace::StateSpace(WorkflowContext* ctx, const CompiledWorkflow& compiled)
-    : ctx_(ctx), compiled_(compiled), cache_(ctx->reduction_cache()),
-      flat_(ctx->flat_evaluator()) {
+    : ctx_(ctx), compiled_(compiled), cache_(ctx->reduction_cache()) {
   symbols_.assign(compiled.symbols().begin(), compiled.symbols().end());
   CDES_CHECK_LE(symbols_.size(), 64u);
   for (size_t i = 0; i < symbols_.size(); ++i) symbol_index_[symbols_[i]] = i;
@@ -81,14 +80,14 @@ const Guard* StateSpace::Commitment(const CheckState& s,
   if (!GuardAlive(s)) return ctx_->guards()->False();
   size_t i = SymbolIndex(lit.symbol());
   CDES_DCHECK(!(s.decided >> i & 1));
-  return flat_->Commit(ctx_->guards(), s.guards[2 * i + lit.complemented()]);
+  return Commit(s.guards[2 * i + lit.complemented()]);
 }
 
 bool StateSpace::EnabledNow(const CheckState& s, EventLiteral lit) const {
   if (!GuardAlive(s)) return false;
   size_t i = SymbolIndex(lit.symbol());
   CDES_DCHECK(!(s.decided >> i & 1));
-  return flat_->EvaluateNow(s.guards[2 * i + lit.complemented()]);
+  return s.guards[2 * i + lit.complemented()]->PermitsNow();
 }
 
 CheckState StateSpace::Successor(const CheckState& s, EventLiteral lit) const {
@@ -106,8 +105,7 @@ CheckState StateSpace::Successor(const CheckState& s, EventLiteral lit) const {
     // Freeze the fired literal's permission and fold it into the path
     // commitment; the fired literal itself counts toward its own ◇-part
     // (◇ is evaluated against the full maximal trace).
-    const Guard* frozen =
-        flat_->Commit(arena, s.guards[2 * i + lit.complemented()]);
+    const Guard* frozen = Commit(s.guards[2 * i + lit.complemented()]);
     child.commitment = ReduceGuard(arena, residuator,
                                    arena->And(s.commitment, frozen), occurred,
                                    cache_);
@@ -132,6 +130,14 @@ CheckState StateSpace::Successor(const CheckState& s, EventLiteral lit) const {
     child.residuals.push_back(residuator->Residuate(r, lit));
   }
   return child;
+}
+
+const Guard* StateSpace::Commit(const Guard* g) const {
+  auto it = commit_.find(g);
+  if (it == commit_.end()) {
+    it = commit_.emplace(g, CommitNow(ctx_->guards(), g)).first;
+  }
+  return it->second;
 }
 
 const std::set<SymbolId>& StateSpace::GuardSyms(const Guard* g) const {

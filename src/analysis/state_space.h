@@ -55,10 +55,10 @@ struct CheckStateHash {
 /// per-state entanglement partition used for partial-order reduction.
 ///
 /// Firing semantics match the declarative Definition 4 rather than the
-/// optimistic runtime EvaluateNow: a literal may fire when the "commit now"
-/// projection of its reduced guard (temporal/reduction.h CommitNow: □→0,
-/// ¬→⊤, ◇ kept) is not 0; the surviving ◇-part becomes an obligation that
-/// the rest of the trace must discharge. A maximal path is guard-accepted
+/// optimistic runtime verdict (Guard::PermitsNow): a literal may fire when
+/// the "commit now" projection of its reduced guard (temporal/reduction.h
+/// CommitNow: □→0, ¬→⊤, ◇ kept) is not 0; the surviving ◇-part becomes an
+/// obligation that the rest of the trace must discharge. A maximal path is guard-accepted
 /// iff every firing was permitted and the final commitment is ⊤ — which the
 /// model-checker property test pins to CompiledWorkflow::Generates. The
 /// runtime's optimistic test sits beside it as EnabledNow, which the
@@ -67,8 +67,8 @@ class StateSpace {
  public:
   /// Aliases `ctx` and `compiled`; both must outlive the state space.
   /// Guard reduction goes through the context's shard-shared
-  /// ReductionCache and CommitNow through the flat evaluator's memo
-  /// (symbolic_cache_test checks both against the plain recursive walks).
+  /// ReductionCache and CommitNow through a per-node memo of this state
+  /// space (symbolic_cache_test checks both against the plain walks).
   StateSpace(WorkflowContext* ctx, const CompiledWorkflow& compiled);
 
   /// The workflow's symbols in id order; state bit i refers to symbols()[i].
@@ -95,11 +95,10 @@ class StateSpace {
   /// literal is not permitted now. Only meaningful while GuardAlive(s).
   const Guard* Commitment(const CheckState& s, EventLiteral lit) const;
 
-  /// The runtime's optimistic test of `lit`'s reduced guard at s (the flat
-  /// EvaluateNow, ≡ the recursive EventActor::EvaluateNow): ¬ℓ holds while
-  /// ℓ has not occurred, □ℓ and ◇ℓ only once it has. An enabled literal's
-  /// Commitment is ⊤, so firing it adds no obligation. false unless
-  /// GuardAlive(s).
+  /// The runtime's optimistic test of `lit`'s reduced guard at s, its
+  /// Guard::PermitsNow: ¬ℓ holds while ℓ has not occurred, □ℓ and ◇ℓ only
+  /// once it has. An enabled literal's Commitment is ⊤, so firing it adds
+  /// no obligation. false unless GuardAlive(s).
   bool EnabledNow(const CheckState& s, EventLiteral lit) const;
 
   /// The state after `lit` occurs. The caller decides whether the child is
@@ -143,20 +142,23 @@ class StateSpace {
  private:
   const std::set<SymbolId>& GuardSyms(const Guard* g) const;
   const std::set<SymbolId>& ExprSyms(const Expr* e) const;
+  /// CommitNow of the reduced guard `g`, memoized per node.
+  const Guard* Commit(const Guard* g) const;
 
   WorkflowContext* ctx_;
   const CompiledWorkflow& compiled_;
   ReductionCache* cache_;
-  FlatEvaluator* flat_;
   std::vector<SymbolId> symbols_;
   std::unordered_map<SymbolId, size_t> symbol_index_;
   std::vector<const Expr*> deps_;  // normal forms, spec order
   uint64_t all_mask_ = 0;
 
-  // Symbol-set memos keyed by interned node (reduction reuses nodes
-  // heavily, so these hit constantly during entanglement partitioning).
+  // Symbol-set and CommitNow memos keyed by interned node (reduction
+  // reuses nodes heavily, so these hit constantly during entanglement
+  // partitioning and firing).
   mutable std::unordered_map<const Guard*, std::set<SymbolId>> guard_syms_;
   mutable std::unordered_map<const Expr*, std::set<SymbolId>> expr_syms_;
+  mutable std::unordered_map<const Guard*, const Guard*> commit_;
 };
 
 }  // namespace cdes::analysis

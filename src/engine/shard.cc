@@ -101,7 +101,9 @@ void Shard::ThreadMain() {
       // between turns. Going idle is a group-commit barrier: nothing else
       // would flush the buffered tail while we sleep.
       if (active.empty() && !stopping) {
-        if (wal_ != nullptr) wal_->FlushAll();
+        if (wal_ != nullptr && !wal_->FlushAll().ok()) {
+          wal_errors_->Increment();
+        }
         cv_.wait(lock, [this] {
           return abort_.load(std::memory_order_relaxed) ||
                  (!paused_ && !queue_.empty());
@@ -148,7 +150,7 @@ void Shard::ThreadMain() {
   }
   // Stop barrier: whatever group commit still holds goes to disk before
   // the worker exits.
-  if (wal_ != nullptr) wal_->FlushAll();
+  if (wal_ != nullptr && !wal_->FlushAll().ok()) wal_errors_->Increment();
   PublishCacheGauges();
 }
 
@@ -233,7 +235,10 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
     // The WAL file exists from the first moment the instance might write
     // records; on recovery it is rebuilt as the recovered image (the old
     // file may have had a torn tail or belong to a pre-compaction state).
-    wal_->Create(r->id, r->log->SerializeOpen(*ctx_->alphabet()));
+    if (!wal_->Rewrite(r->id, r->log->SerializeOpen(*ctx_->alphabet()))
+             .ok()) {
+      wal_errors_->Increment();
+    }
   }
   return r;
 }
@@ -303,8 +308,11 @@ void Shard::SyncWal(Resident& r) {
   if (wal_->ShouldFlush()) {
     // Group commit: one filesystem pass covers every resident's buffered
     // appends, not just this instance's.
-    wal_->FlushAll();
-    group_commits_->Increment();
+    if (wal_->FlushAll().ok()) {
+      group_commits_->Increment();
+    } else {
+      wal_errors_->Increment();
+    }
   }
 }
 

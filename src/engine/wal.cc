@@ -36,11 +36,6 @@ std::string ShardWal::PathFor(uint64_t id) const {
   return StrCat(dir_, "/", id, ".log");
 }
 
-Status ShardWal::Create(uint64_t id, const std::string& content) {
-  buffers_.erase(id);
-  return Rewrite(id, content);
-}
-
 void ShardWal::Append(uint64_t id, const std::string& text) {
   buffers_[id] += text;
   // Count lines, not calls: a checkpoint section appends several lines at
@@ -74,11 +69,12 @@ Status ShardWal::FlushAll() {
   std::vector<uint64_t> ids;
   ids.reserve(buffers_.size());
   for (const auto& [id, text] : buffers_) ids.push_back(id);
+  Status first = Status::OK();
   for (uint64_t id : ids) {
     Status s = Flush(id);
-    if (!s.ok()) return s;
+    if (!s.ok() && first.ok()) first = std::move(s);
   }
-  return Status::OK();
+  return first;
 }
 
 Status ShardWal::Rewrite(uint64_t id, const std::string& content) {

@@ -19,7 +19,7 @@ namespace cdes::engine {
 /// fully flushed lines carry their own checksums).
 ///
 /// Writing discipline:
-///  - Create / Rewrite produce a complete file via tmp + atomic rename, so
+///  - Rewrite produces a complete file via tmp + atomic rename, so
 ///    a file is never half-initialized and compaction (rewriting a log as
 ///    header + checkpoint) can never be caught half-done — rename(2) either
 ///    happened or it did not.
@@ -44,9 +44,6 @@ class ShardWal {
   /// `<dir>/<id>.log`.
   std::string PathFor(uint64_t id) const;
 
-  /// Atomically creates (or replaces) the instance's file with `content`.
-  Status Create(uint64_t id, const std::string& content);
-
   /// Buffers `text` (one or more complete lines) for the instance's file.
   void Append(uint64_t id, const std::string& text);
 
@@ -55,13 +52,17 @@ class ShardWal {
     return pending_appends_ >= group_commit_records_;
   }
 
-  /// Writes one instance's buffered appends to its file.
+  /// Writes one instance's buffered appends to its file. On failure they
+  /// stay buffered.
   Status Flush(uint64_t id);
-  /// Writes every buffered append out (group commit / barrier).
+  /// Writes every buffered append out (group commit / barrier). Tries every
+  /// instance, so one unwritable file holds back only its own records, and
+  /// returns the first error.
   Status FlushAll();
 
-  /// Atomically replaces the instance's file with `content`, discarding any
-  /// buffered appends for it (they are part of `content` already).
+  /// Atomically creates or replaces the instance's file with `content`,
+  /// discarding any buffered appends for it (they are part of `content`
+  /// already).
   Status Rewrite(uint64_t id, const std::string& content);
 
   /// Drops the instance's file and buffers (instance completed; its sealed

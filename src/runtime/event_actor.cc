@@ -9,33 +9,6 @@
 
 namespace cdes {
 
-bool EventActor::EvaluateNow(const Guard* g) {
-  switch (g->kind()) {
-    case GuardKind::kTrue:
-      return true;
-    case GuardKind::kFalse:
-      return false;
-    case GuardKind::kNeg:
-      // Unreduced ¬ℓ means ℓ has not been heard: true at this instant.
-      return true;
-    case GuardKind::kBox:
-    case GuardKind::kDiamond:
-      // Unreduced □/◇ means the occurrence / guarantee is not yet known.
-      return false;
-    case GuardKind::kAnd:
-      for (const Guard* c : g->children()) {
-        if (!EvaluateNow(c)) return false;
-      }
-      return true;
-    case GuardKind::kOr:
-      for (const Guard* c : g->children()) {
-        if (EvaluateNow(c)) return true;
-      }
-      return false;
-  }
-  return false;
-}
-
 EventActor::EventActor(ActorHost* host, SymbolId symbol, int site,
                        const Guard* positive_guard,
                        const Guard* negative_guard,
@@ -44,9 +17,8 @@ EventActor::EventActor(ActorHost* host, SymbolId symbol, int site,
     : host_(host), symbol_(symbol), site_(site),
       positive_guard_(positive_guard), negative_guard_(negative_guard),
       positive_attrs_(positive_attrs), negative_attrs_(negative_attrs),
-      cache_(host->reduction_cache()), flat_(host->flat_evaluator()),
-      lifecycle_(host->lifecycle()) {
-  CDES_DCHECK(cache_ != nullptr && flat_ != nullptr && lifecycle_ != nullptr);
+      cache_(host->reduction_cache()), lifecycle_(host->lifecycle()) {
+  CDES_DCHECK(cache_ != nullptr && lifecycle_ != nullptr);
 }
 
 const Guard* EventActor::HeardResidual(EventLiteral literal) const {
@@ -94,7 +66,7 @@ const Guard* EventActor::CurrentGuard(EventLiteral literal) const {
 bool EventActor::Firable(EventLiteral literal, const Guard** reduced) const {
   auto check = [&] {
     *reduced = CurrentGuard(literal);
-    return flat_->EvaluateNow(*reduced);
+    return (*reduced)->PermitsNow();
   };
   if (profile_ == nullptr) return check();
   const std::vector<GuardProfile::Share>& shares =
@@ -114,16 +86,16 @@ bool EventActor::Firable(EventLiteral literal, const Guard** reduced) const {
   uint64_t steps = host_->residuator()->residuate_calls() - steps0;
   uint64_t nodes = host_->guard_arena()->node_count() - nodes0;
   uint64_t wall = sampled ? obs::ProfilerNowNs() - t0 : 0;
-  // Split by flat-op share; cumulative rounding keeps the per-site parts
+  // Split by node-count share; cumulative rounding keeps the per-site parts
   // summing to the check's totals.
-  uint64_t total_ops = 0;
-  for (const GuardProfile::Share& s : shares) total_ops += s.flat_ops;
-  uint64_t ops = 0, steps_done = 0, nodes_done = 0, wall_done = 0;
+  uint64_t total_weight = 0;
+  for (const GuardProfile::Share& s : shares) total_weight += s.weight;
+  uint64_t weight = 0, steps_done = 0, nodes_done = 0, wall_done = 0;
   for (const GuardProfile::Share& s : shares) {
-    ops += s.flat_ops;
-    uint64_t steps_to = steps * ops / total_ops;
-    uint64_t nodes_to = nodes * ops / total_ops;
-    uint64_t wall_to = wall * ops / total_ops;
+    weight += s.weight;
+    uint64_t steps_to = steps * weight / total_weight;
+    uint64_t nodes_to = nodes * weight / total_weight;
+    uint64_t wall_to = wall * weight / total_weight;
     profiler->Record(s.site, steps_to - steps_done, nodes_to - nodes_done,
                      wall_to - wall_done, sampled);
     steps_done = steps_to;
@@ -496,11 +468,11 @@ bool EventActor::TryAnswerPromiseRequest(const RuntimeMessage& request) {
                       {AnnouncementKind::kPromised, promised}, cache_);
     }
     hypothetical = DischargeDiamonds(hypothetical);
-    // Optimistic grant (EvaluateNow rather than the constant ⊤): residual
+    // Optimistic grant (PermitsNow rather than the constant ⊤): residual
     // ¬-atoms are tolerated because, for synthesized guards, an event that
     // could falsify them is itself ordered after us (the model checker's
     // CL024 ¬-race freedom); residual ◇/□-atoms still block the grant.
-    if (!flat_->EvaluateNow(hypothetical)) return false;
+    if (!hypothetical->PermitsNow()) return false;
     promises_made_.insert(made);
     // The promise carries order guarantees: our □-obligations and the
     // requester necessarily precede our occurrence.

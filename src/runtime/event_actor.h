@@ -12,7 +12,6 @@
 #include "runtime/messages.h"
 #include "sched/scheduler.h"
 #include "spec/ast.h"
-#include "temporal/flat_eval.h"
 #include "temporal/guard.h"
 #include "temporal/reduction.h"
 
@@ -54,11 +53,9 @@ class ActorHost {
   virtual GuardArena* guard_arena() = 0;
   virtual Residuator* residuator() = 0;
 
-  /// Shard-shared symbolic caches (see guards/context.h): the reduction
-  /// memo every assimilation goes through and the flat evaluator that
-  /// decides firability. Both must be non-null.
+  /// The shard-shared reduction memo every assimilation goes through (see
+  /// guards/context.h); non-null.
   virtual ReductionCache* reduction_cache() = 0;
-  virtual FlatEvaluator* flat_evaluator() = 0;
 
   /// Where the actor records each decision it makes (attempts answered,
   /// parks); non-null.
@@ -68,7 +65,7 @@ class ActorHost {
 /// Per-actor profiling attachment, built by the owning scheduler when a
 /// GuardProfiler is configured: for each literal, the (dependency, event)
 /// sites of the dependencies contributing to its compiled guard, each
-/// weighted by the op count of its contribution's FlatProgram. Every
+/// weighted by its contribution's GuardNodeCount (distinct DAG nodes). Every
 /// firability check of a literal counts one evaluation at each of its
 /// sites; the check's residuation steps, new guard nodes, and sampled wall
 /// time are split across the sites by those weights. The profiler only
@@ -76,7 +73,7 @@ class ActorHost {
 struct GuardProfile {
   struct Share {
     obs::GuardProfiler::Site* site;
-    uint64_t flat_ops;
+    uint64_t weight;
   };
   obs::GuardProfiler* profiler = nullptr;
   std::vector<Share> positive;
@@ -142,15 +139,6 @@ class EventActor {
   /// parked).
   void RestoreBaseline(const Guard* positive, const Guard* negative);
 
-  /// Whether a reduced guard licenses occurrence *now*: ¬ℓ atoms count as
-  /// true while ℓ is unheard (the event has not yet occurred), whereas
-  /// □/◇ atoms require positive knowledge (an announcement or a promise).
-  /// This optimistic ¬-evaluation is the per-event agreement the paper
-  /// flags in §4.3; see DESIGN.md for the soundness discussion. The
-  /// recursive walk is the reference the flat evaluator (which the actor
-  /// itself uses) is tested against.
-  static bool EvaluateNow(const Guard* g);
-
   /// Attaches per-dependency profiling (nullptr to detach). `profile` must
   /// outlive the actor.
   void set_profile(const GuardProfile* profile) { profile_ = profile; }
@@ -190,7 +178,7 @@ class EventActor {
     return literal.complemented() ? negative_guard_ : positive_guard_;
   }
 
-  /// The one firability check of `literal`: the flat EvaluateNow of its
+  /// The one firability check of `literal`: the PermitsNow verdict of its
   /// memoized CurrentGuard, which is stored in `*reduced`. With a profile
   /// attached the check is charged to the literal's sites.
   bool Firable(EventLiteral literal, const Guard** reduced) const;
@@ -253,7 +241,6 @@ class EventActor {
   /// Host capabilities resolved once at construction (virtual calls off the
   /// hot path).
   ReductionCache* cache_;
-  FlatEvaluator* flat_;
   SchedulerObs* lifecycle_;
 
   std::optional<EventLiteral> decided_;

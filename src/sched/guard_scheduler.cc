@@ -1,6 +1,7 @@
 #include "sched/guard_scheduler.h"
 
 #include <limits>
+#include <unordered_set>
 
 #include "algebra/semantics.h"
 #include "common/strings.h"
@@ -115,7 +116,7 @@ Status GuardScheduler::AddInstanceCompiled(CompiledWorkflowRef compiled,
     if (options_.profiler != nullptr) {
       // One (dependency, event) site per contribution to the compiled
       // conjunction (deduplicated profiler-wide, carrying the dependency's
-      // spec location), weighted by the contribution's flat-op count.
+      // spec location), weighted by the contribution's DAG node count.
       GuardProfile& profile = profiles_[symbol];
       profile.profiler = options_.profiler;
       for (EventLiteral l : {pos, neg_lit}) {
@@ -123,10 +124,11 @@ Status GuardScheduler::AddInstanceCompiled(CompiledWorkflowRef compiled,
             l.complemented() ? profile.negative : profile.positive;
         for (const auto& [di, g] : compiled->ContributionsFor(l)) {
           const Dependency& dep = compiled->dependencies()[di];
+          std::unordered_set<const Guard*> seen;
           dst.push_back(GuardProfile::Share{
               options_.profiler->RegisterSite(
                   dep.name, ctx_->alphabet()->LiteralName(l), dep.loc),
-              ctx_->flat_evaluator()->ProgramFor(g).ops.size()});
+              GuardNodeCount(g, &seen)});
         }
       }
       slot.actor->set_profile(&profile);

@@ -40,9 +40,9 @@ struct GuardSchedulerOptions {
   /// every firability check an actor makes counts one evaluation at each
   /// site of the literal, and the check's residuation steps, new guard
   /// nodes, and sampled wall time are split across those sites by their
-  /// contributions' flat-op shares. The check itself runs the same path as
-  /// without a profiler. The profiler may be shared across schedulers and
-  /// threads (engine shards register into one).
+  /// contributions' DAG node counts (GuardNodeCount). The check itself runs
+  /// the same path as without a profiler. The profiler may be shared across
+  /// schedulers and threads (engine shards register into one).
   obs::GuardProfiler* profiler = nullptr;
   /// Trace id stamped (with a fresh span id) on every protocol message when
   /// a tracer is installed, so announcements, promises, and retransmits
@@ -229,7 +229,6 @@ class GuardScheduler : public Scheduler, public ActorHost {
   ReductionCache* reduction_cache() override {
     return ctx_->reduction_cache();
   }
-  FlatEvaluator* flat_evaluator() override { return ctx_->flat_evaluator(); }
   SchedulerObs* lifecycle() override { return &obs_; }
 
  private:

@@ -136,8 +136,17 @@ const Guard* GuardArena::Intern(GuardKind kind, EventLiteral literal,
               children};
   auto it = interned_.find(key);
   if (it != interned_.end()) return it->second;
-  auto node = std::unique_ptr<Guard>(
-      new Guard(kind, literal, expr, std::move(children), nodes_.size()));
+  // The new node's firability verdict (Guard::PermitsNow), decided once.
+  bool permits_now = kind == GuardKind::kTrue || kind == GuardKind::kNeg;
+  if (kind == GuardKind::kAnd) {
+    permits_now = std::all_of(children.begin(), children.end(),
+                              [](const Guard* c) { return c->PermitsNow(); });
+  } else if (kind == GuardKind::kOr) {
+    permits_now = std::any_of(children.begin(), children.end(),
+                              [](const Guard* c) { return c->PermitsNow(); });
+  }
+  auto node = std::unique_ptr<Guard>(new Guard(
+      kind, permits_now, literal, expr, std::move(children), nodes_.size()));
   const Guard* ptr = node.get();
   nodes_.push_back(std::move(node));
   interned_.emplace(std::move(key), ptr);
@@ -244,6 +253,13 @@ std::set<SymbolId> GuardSymbols(const Guard* g) {
   std::set<SymbolId> out;
   CollectGuardSymbols(g, &out);
   return out;
+}
+
+size_t GuardNodeCount(const Guard* g, std::unordered_set<const Guard*>* seen) {
+  if (!seen->insert(g).second) return 0;
+  size_t n = 1;
+  for (const Guard* c : g->children()) n += GuardNodeCount(c, seen);
+  return n;
 }
 
 std::string GuardToString(const Guard* g, const Alphabet& alphabet) {

@@ -6,6 +6,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "algebra/expr.h"
@@ -24,7 +25,15 @@ namespace cdes {
 ///
 /// General nesting like ¬(E1·E2) or □(E1+E2) never arises from Definition 2
 /// and is intentionally unrepresentable.
-enum class GuardKind { kFalse, kTrue, kBox, kNeg, kDiamond, kAnd, kOr };
+enum class GuardKind : uint8_t {
+  kFalse,
+  kTrue,
+  kBox,
+  kNeg,
+  kDiamond,
+  kAnd,
+  kOr
+};
 
 /// An immutable, arena-owned node of a guard DAG. As with Expr, nodes are
 /// hash-consed: pointer equality is structural equality.
@@ -52,14 +61,24 @@ class Guard {
   bool IsTrue() const { return kind_ == GuardKind::kTrue; }
   bool IsFalse() const { return kind_ == GuardKind::kFalse; }
 
+  /// Whether the guard licenses occurrence *now*, with nothing known beyond
+  /// what reduction already folded in: ⊤ and ¬ℓ hold (an unreduced ¬ℓ means
+  /// ℓ has not been heard), while 0, □ℓ and ◇E do not (the occurrence or
+  /// guarantee is not yet known); ∧ needs every child and ∨ any. This is
+  /// the runtime's optimistic firability verdict (§4.3; see DESIGN.md for
+  /// the soundness discussion). Nodes are immutable, so the arena decides
+  /// it once, when it interns the node.
+  bool PermitsNow() const { return permits_now_; }
+
  private:
   friend class GuardArena;
-  Guard(GuardKind kind, EventLiteral literal, const Expr* expr,
-        std::vector<const Guard*> children, uint64_t id)
-      : kind_(kind), literal_(literal), expr_(expr),
+  Guard(GuardKind kind, bool permits_now, EventLiteral literal,
+        const Expr* expr, std::vector<const Guard*> children, uint64_t id)
+      : kind_(kind), permits_now_(permits_now), literal_(literal), expr_(expr),
         children_(std::move(children)), id_(id) {}
 
   GuardKind kind_;
+  bool permits_now_;
   EventLiteral literal_;
   const Expr* expr_;
   std::vector<const Guard*> children_;
@@ -130,6 +149,11 @@ class GuardArena {
 
 /// Symbols mentioned anywhere in `g` (Box/Neg literals and ◇-expressions).
 std::set<SymbolId> GuardSymbols(const Guard* g);
+
+/// The distinct DAG nodes of `g` that `*seen` does not hold yet, which it
+/// gains: with an empty `seen`, the size of `g`'s DAG (a node shared by
+/// several parents counts once).
+size_t GuardNodeCount(const Guard* g, std::unordered_set<const Guard*>* seen);
 
 /// Pretty prints: "[]e" for □e, "!e" for ¬e, "<>(...)" for ◇, with `+`
 /// binding looser than `|`.

@@ -114,7 +114,7 @@ const Expr* PruneImpossibleLiteral(ExprArena* arena, const Expr* e,
 /// The "commit now" projection of a reduced guard: the condition under
 /// which an event may fire at the current instant per the declarative
 /// HoldsAt semantics (Definition 4 / Semantics 13-14), rather than the
-/// runtime's optimistic EvaluateNow.
+/// runtime's optimistic Guard::PermitsNow.
 ///   □ℓ → 0   (ℓ has not occurred within the prefix, so the past cannot
 ///             license the firing through it)
 ///   ¬ℓ → ⊤   (ℓ has not occurred within the prefix, so ¬ℓ holds now)

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <set>
@@ -21,6 +22,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "engine/engine.h"
+#include "engine/wal.h"
 #include "guards/workflow.h"
 #include "obs/json.h"
 #include "runtime/checkpoint.h"
@@ -1276,6 +1278,55 @@ TEST(EngineTest, WalDirAbortThenRecoverDir) {
     ++leftover;
   }
   EXPECT_EQ(leftover, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// A directory where an instance's log file belongs makes that file's
+// rename and append fail, for root too.
+TEST(ShardWalTest, UnwritableFileHoldsBackOnlyItsOwnRecords) {
+  const std::string dir = ::testing::TempDir() + "cdes_wal_unwritable";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/0.log");
+  ShardWal wal(dir, /*group_commit_records=*/8);
+  EXPECT_FALSE(wal.Rewrite(0, "header\n").ok());
+  wal.Append(0, "a\n");
+  wal.Append(1, "b\n");
+  EXPECT_FALSE(wal.FlushAll().ok());
+  // Instance 1's record reached its file; instance 0's stays buffered.
+  std::ifstream in(wal.PathFor(1));
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, "b\n");
+  EXPECT_EQ(wal.pending_appends(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(EngineTest, UnwritableWalFileIsCountedAndOtherInstancesFinish) {
+  const std::string dir = ::testing::TempDir() + "cdes_wal_errors";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/0.log");
+  constexpr size_t kInstances = 6;
+  EngineOptions opts;
+  opts.shards = 1;
+  opts.wal_dir = dir;
+  opts.group_commit_records = 2;
+  Engine eng(TravelSpec(), opts);
+  for (size_t i = 0; i < kInstances; ++i) {
+    ASSERT_TRUE(eng.Submit(ScriptFor(i)).ok());
+  }
+  eng.Drain();
+  eng.Stop();
+  std::vector<InstanceResult> results = eng.TakeResults();
+  ASSERT_EQ(results.size(), kInstances);
+  for (const InstanceResult& r : results) {
+    EXPECT_TRUE(r.error.empty()) << "instance " << r.id << ": " << r.error;
+    EXPECT_TRUE(r.maximal) << "instance " << r.id;
+    EXPECT_TRUE(r.consistent) << "instance " << r.id << ": " << r.history;
+  }
+  const auto& counters = eng.shard_metrics(0).counters();
+  auto errors = counters.find("engine.wal.errors");
+  ASSERT_NE(errors, counters.end());
+  EXPECT_GT(errors->second->value(), 0u);
   std::filesystem::remove_all(dir);
 }
 

@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -654,6 +655,89 @@ TEST(ObsIntegrationTest, ProfiledSchedulerMatchesUnprofiledRun) {
   auto hottest = profiler.HottestFor("c_buy");
   ASSERT_TRUE(hottest.has_value());
   EXPECT_GT(hottest->evaluations, 0u);
+}
+
+// Pins what profiled travel runs charge to each (dependency, event) site
+// (evaluations / residuation steps / new guard nodes), with simplified and
+// with raw Definition 2 guards, and the weight of each contribution: a
+// check's steps and nodes are split across the literal's sites by the node
+// counts of their contributions' guard DAGs. A change that keeps the
+// checks and the weights keeps these values; one meant to change them
+// re-pins them from this test built against the parent.
+TEST(ObsIntegrationTest, ProfiledTravelRunChargesPinnedSiteCosts) {
+  const std::vector<std::vector<std::string>> scripts = {
+      {"s_buy", "c_book", "c_buy"},
+      {"s_buy", "c_book", "~c_buy"},
+      {"c_buy", "~c_book", "s_cancel"},
+  };
+  std::string costs;
+  for (bool simplify : {true, false}) {
+    CompileOptions copts;
+    copts.simplify = simplify;
+    for (const std::vector<std::string>& script : scripts) {
+      ObsWorld w;
+      CompiledWorkflowRef compiled =
+          CompileWorkflowShared(&w.ctx, w.workflow.spec, copts);
+      obs::GuardProfiler profiler(/*sample_every=*/1);
+      GuardSchedulerOptions sopts;
+      sopts.profiler = &profiler;
+      GuardScheduler sched(&w.ctx, compiled, w.workflow, w.network.get(),
+                           sopts);
+      w.Drive(&sched, script);
+      sched.Close();
+      w.sim.Run();
+      StrAppend(&costs, simplify ? "simplified" : "raw", " ",
+                StrJoin(script, " "), ":");
+      for (const obs::GuardSiteStats& s : profiler.Snapshot()) {
+        if (s.evaluations == 0) continue;
+        StrAppend(&costs, " ", s.dependency, "->", s.event, " ",
+                  s.evaluations, "/", s.residuation_steps, "/",
+                  s.nodes_visited);
+      }
+      costs += "\n";
+      if (&script != &scripts.front()) continue;
+      // Every world compiles the same guards; their weights once per mode.
+      costs += "weights:";
+      for (SymbolId symbol : compiled->symbols()) {
+        for (bool complemented : {false, true}) {
+          EventLiteral l(symbol, complemented);
+          for (const auto& [dep, g] : compiled->ContributionsFor(l)) {
+            std::unordered_set<const Guard*> seen;
+            StrAppend(&costs, " ", compiled->dependencies()[dep].name, "->",
+                      w.ctx.alphabet()->LiteralName(l), " ",
+                      GuardNodeCount(g, &seen));
+          }
+        }
+      }
+      costs += "\n";
+    }
+  }
+  const std::string pinned =
+      "simplified s_buy c_book c_buy: d1->s_buy 3/0/0 d2->c_buy 1/0/0 "
+      "d3->c_buy 1/0/0 d1->s_book 1/0/0 d2->c_book 3/0/0 d3->c_book 3/0/0 "
+      "d3->~s_cancel 1/2/0\n"
+      "weights: d1->s_buy 1 d1->~s_buy 1 d2->c_buy 1 d3->c_buy 1 d2->~c_buy 1 "
+      "d3->~c_buy 1 d1->s_book 1 d1->~s_book 1 d2->c_book 1 d3->c_book 1 "
+      "d2->~c_book 1 d3->~c_book 1 d3->s_cancel 1 d3->~s_cancel 1\n"
+      "simplified s_buy c_book ~c_buy: d1->s_buy 3/0/0 d2->~c_buy 3/0/0 "
+      "d3->~c_buy 3/1/0 d1->s_book 1/0/0 d2->c_book 3/0/0 d3->c_book 3/0/0 "
+      "d3->s_cancel 1/0/0\n"
+      "simplified c_buy ~c_book s_cancel: d1->~s_buy 1/0/0 d2->c_buy 3/0/0 "
+      "d3->c_buy 3/0/0 d2->~c_buy 1/0/0 d3->~c_buy 1/1/0 d1->~s_book 3/1/0 "
+      "d2->~c_book 4/0/0 d3->~c_book 4/2/0 d3->s_cancel 1/0/0\n"
+      "raw s_buy c_book c_buy: d1->s_buy 3/0/0 d2->c_buy 1/0/0 d3->c_buy "
+      "1/0/0 d1->s_book 1/0/0 d2->c_book 3/0/0 d3->c_book 3/0/0 d3->s_cancel "
+      "1/0/0\n"
+      "weights: d1->s_buy 6 d1->~s_buy 1 d2->c_buy 1 d3->c_buy 1 d2->~c_buy 6 "
+      "d3->~c_buy 11 d1->s_book 1 d1->~s_book 6 d2->c_book 5 d3->c_book 11 "
+      "d2->~c_book 6 d3->~c_book 1 d3->s_cancel 1 d3->~s_cancel 11\n"
+      "raw s_buy c_book ~c_buy: d1->s_buy 3/0/0 d2->~c_buy 1/0/0 d3->~c_buy "
+      "1/2/0 d1->s_book 1/0/0 d2->c_book 3/0/0 d3->c_book 3/0/0 d3->s_cancel "
+      "1/0/0\n"
+      "raw c_buy ~c_book s_cancel: d1->~s_buy 1/0/0 d2->c_buy 3/0/0 d3->c_buy "
+      "3/0/0 d2->~c_buy 1/0/0 d3->~c_buy 1/2/0 d1->~s_book 3/1/0 d2->~c_book "
+      "4/0/0 d3->~c_book 4/2/0 d3->s_cancel 1/0/0\n";
+  EXPECT_EQ(costs, pinned);
 }
 
 TEST(ObsIntegrationTest, MessageFlowsPairSendToAssimilation) {

@@ -2,11 +2,11 @@
 // trace semantics:
 //
 //   (conservativeness)  if the runtime's reduced guard licenses occurrence
-//       now (EvaluateNow after assimilating a prefix), then the guard
+//       now (PermitsNow after assimilating a prefix), then the guard
 //       truly holds at that index of any maximal extension — the runtime
 //       never fires early;
 //   (completeness-at-end)  once every event of a maximal trace has been
-//       assimilated, the reduced guard's EvaluateNow coincides exactly
+//       assimilated, the reduced guard's PermitsNow coincides exactly
 //       with HoldsAt — no information is lost by reduction;
 //   (arena identities)  the constructor-level rewrites (◇-merge in Or,
 //       exhaustive/contradictory atom pairs) are semantic identities;
@@ -18,7 +18,6 @@
 
 #include "algebra/generator.h"
 #include "guards/context.h"
-#include "runtime/event_actor.h"
 #include "temporal/guard_needs.h"
 #include "temporal/guard_semantics.h"
 #include "temporal/reduction.h"
@@ -66,7 +65,7 @@ TEST_P(SoundnessTest, RuntimeReductionIsConservative) {
       for (size_t i = 0; i <= u.size(); ++i) {
         // If the runtime would fire here, the semantics must agree on
         // this maximal extension.
-        if (EventActor::EvaluateNow(reduced)) {
+        if (reduced->PermitsNow()) {
           EXPECT_TRUE(HoldsAt(u, i, g))
               << GuardToString(g, *ctx.alphabet()) << " fired early at "
               << i << " on " << TraceToString(u, *ctx.alphabet());
@@ -77,7 +76,7 @@ TEST_P(SoundnessTest, RuntimeReductionIsConservative) {
         }
       }
       // Completeness at the end of the maximal trace.
-      EXPECT_EQ(EventActor::EvaluateNow(reduced), HoldsAt(u, u.size(), g))
+      EXPECT_EQ(reduced->PermitsNow(), HoldsAt(u, u.size(), g))
           << GuardToString(g, *ctx.alphabet()) << " at end of "
           << TraceToString(u, *ctx.alphabet());
     }

@@ -1,11 +1,12 @@
-// Equivalence properties of the symbolic caches: flat compiled evaluation,
-// the shard-shared ReductionCache, the prefix-fold replay, and the model
-// checker's memoized state space are *optimizations* of the plain
-// semantics. Production runs only the memoized path; the test-side
-// reference oracle is the plain walks — ReduceGuard without a cache, the
-// recursive EventActor::EvaluateNow and CommitNow — and every observable
-// (evaluation verdicts, reduced-guard identities, scheduler histories,
-// state-space transitions) must agree with it. Everything here runs over
+// Equivalence properties of the symbolic caches: the firability verdict
+// stored on each interned guard node, the shard-shared ReductionCache, the
+// prefix-fold replay, and the model checker's memoized state space are
+// *optimizations* of the plain semantics. Production runs only the
+// memoized path; the test-side reference oracle is the plain walks —
+// ReduceGuard without a cache, the recursive EvaluateNow (evaluate_now.h)
+// and CommitNow — and every observable (evaluation verdicts, reduced-guard
+// identities, scheduler histories, state-space transitions) must agree
+// with it. Everything here runs over
 // hundreds of random specs so the equivalences are exercised across guard
 // shapes no hand-written case would cover.
 
@@ -21,11 +22,10 @@
 #include "analysis/state_space.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "runtime/event_actor.h"
 #include "sched/guard_scheduler.h"
 #include "spec/parser.h"
-#include "temporal/flat_eval.h"
 #include "temporal/reduction.h"
+#include "evaluate_now.h"
 #include "random_workflow.h"
 
 namespace cdes {
@@ -50,20 +50,19 @@ CompiledWorkflow RandomCompiled(WorkflowContext* ctx, uint64_t seed,
   return CompileWorkflow(ctx, spec);
 }
 
-// ------------------------------------------------ flat ≡ recursive walks
+// ------------------------------------- node verdict ≡ recursive walk
 
-// The flat postorder programs must agree with the recursive EvaluateNow and
-// CommitNow on every guard the compiler produces *and* on every reduction
+// The verdict the arena stores on each node must agree with the recursive
+// EvaluateNow on every guard the compiler produces *and* on every reduction
 // of those guards along occurrence traces — the states the runtime actually
 // evaluates.
-TEST(SymbolicCacheTest, FlatEvaluationMatchesRecursiveWalks) {
+TEST(SymbolicCacheTest, ReducedGuardVerdictsMatchRecursiveWalk) {
   constexpr size_t kSymbols = 4;
   size_t compared = 0;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     WorkflowContext ctx;
     CompiledWorkflow compiled = RandomCompiled(&ctx, seed, kSymbols, 2);
     if (compiled.impossible()) continue;
-    FlatEvaluator flat;
     Rng rng(seed * 31 + 5);
     std::vector<SymbolId> symbols(compiled.symbols().begin(),
                                   compiled.symbols().end());
@@ -73,10 +72,7 @@ TEST(SymbolicCacheTest, FlatEvaluationMatchesRecursiveWalks) {
             compiled.GuardFor(EventLiteral(symbol, complemented));
         // The compiled guard plus a random reduction chain off it.
         for (int step = 0; step < 1 + static_cast<int>(kSymbols); ++step) {
-          ASSERT_EQ(flat.EvaluateNow(g), EventActor::EvaluateNow(g))
-              << "seed " << seed << " guard "
-              << GuardToString(g, *ctx.alphabet());
-          ASSERT_EQ(flat.Commit(ctx.guards(), g), CommitNow(ctx.guards(), g))
+          ASSERT_EQ(g->PermitsNow(), EvaluateNow(g))
               << "seed " << seed << " guard "
               << GuardToString(g, *ctx.alphabet());
           ++compared;
@@ -425,10 +421,11 @@ CheckState ReferenceSuccessor(WorkflowContext* ctx, const StateSpace& space,
 }
 
 // Along random traces, the model checker's transition engine (memoized
-// reduction, flat CommitNow, flat EvaluateNow) must produce exactly the
-// states, firing commitments and optimistic verdicts the plain walks
-// produce; the optimistic one folds the compiled guard along the trace
-// with the plain ReduceGuard and asks the recursive EvaluateNow.
+// reduction, memoized CommitNow, the stored PermitsNow verdict) must
+// produce exactly the states, firing commitments and optimistic verdicts
+// the plain walks produce; the optimistic one folds the compiled guard
+// along the trace with the plain ReduceGuard and asks the recursive
+// EvaluateNow.
 TEST(SymbolicCacheTest, StateSpaceMatchesReferenceWalks) {
   constexpr size_t kSymbols = 4;
   size_t steps = 0;
@@ -462,7 +459,7 @@ TEST(SymbolicCacheTest, StateSpaceMatchesReferenceWalks) {
               folded = ReduceGuard(ctx.guards(), ctx.residuator(), folded,
                                    {AnnouncementKind::kOccurred, occurred});
             }
-            bool now = EventActor::EvaluateNow(folded);
+            bool now = EvaluateNow(folded);
             ASSERT_EQ(space.EnabledNow(s, lit), now)
                 << "seed " << seed << " " << ctx.alphabet()->LiteralName(lit)
                 << " after " << TraceToString(u, *ctx.alphabet());

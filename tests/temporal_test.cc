@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "algebra/expr.h"
@@ -13,6 +14,7 @@
 #include "temporal/guard_semantics.h"
 #include "temporal/reduction.h"
 #include "temporal/simplify.h"
+#include "evaluate_now.h"
 
 namespace cdes {
 namespace {
@@ -457,6 +459,34 @@ TEST(GuardTruthTableTest, PackedBitsMatchHoldsAt) {
     }
   }
   EXPECT_GT(checked_points, 100000u);
+}
+
+// The firability verdict the arena stores when it interns a node equals
+// the recursive reference walk on every node of the same random guards,
+// whose construction flattens ∧/∨, merges ◇-siblings and absorbs
+// constants.
+TEST(GuardVerdictTest, PermitsNowMatchesRecursiveWalk) {
+  WorkflowContext ctx;
+  Rng rng(2024);
+  std::unordered_set<const Guard*> seen;
+  size_t permitted = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const Guard* g = RandomGuardOver(&ctx, &rng, 1 + iter % 5);
+    std::vector<const Guard*> stack = {g};
+    while (!stack.empty()) {
+      const Guard* node = stack.back();
+      stack.pop_back();
+      if (!seen.insert(node).second) continue;
+      ASSERT_EQ(node->PermitsNow(), EvaluateNow(node))
+          << GuardToString(node, *ctx.alphabet());
+      permitted += node->PermitsNow();
+      stack.insert(stack.end(), node->children().begin(),
+                   node->children().end());
+    }
+  }
+  // Both verdicts occur often, so the comparison is not vacuous.
+  EXPECT_GT(permitted, 100u);
+  EXPECT_GT(seen.size() - permitted, 100u);
 }
 
 // Pins what the simplifier and the exact predicates decide for random
