@@ -58,11 +58,12 @@ struct CheckStateHash {
 /// optimistic runtime verdict (Guard::PermitsNow): a literal may fire when
 /// the "commit now" projection of its reduced guard (temporal/reduction.h
 /// CommitNow: □→0, ¬→⊤, ◇ kept) is not 0; the surviving ◇-part becomes an
-/// obligation that the rest of the trace must discharge. A maximal path is guard-accepted
-/// iff every firing was permitted and the final commitment is ⊤ — which the
-/// model-checker property test pins to CompiledWorkflow::Generates. The
-/// runtime's optimistic test sits beside it as EnabledNow, which the
-/// checker's ¬-race rule (CL024) asks of every literal.
+/// obligation that the rest of the trace must discharge. A maximal path is
+/// guard-accepted iff every firing was permitted and the final commitment
+/// is ⊤ — which the model-checker property test pins to
+/// CompiledWorkflow::Generates. The runtime's optimistic test sits beside
+/// it as EnabledNow, which the checker's ¬-race rule (CL024) asks of every
+/// literal.
 class StateSpace {
  public:
   /// Aliases `ctx` and `compiled`; both must outlive the state space.

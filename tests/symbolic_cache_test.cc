@@ -6,9 +6,9 @@
 // ReduceGuard without a cache, the recursive EvaluateNow (evaluate_now.h)
 // and CommitNow — and every observable (evaluation verdicts, reduced-guard
 // identities, scheduler histories, state-space transitions) must agree
-// with it. Everything here runs over
-// hundreds of random specs so the equivalences are exercised across guard
-// shapes no hand-written case would cover.
+// with it. Everything here runs over hundreds of random specs so the
+// equivalences are exercised across guard shapes no hand-written case
+// would cover.
 
 #include <gtest/gtest.h>
 
