@@ -235,8 +235,9 @@ std::unique_ptr<Shard::Resident> Shard::AdmitInstance(EngineCommand cmd) {
     // The WAL file exists from the first moment the instance might write
     // records; on recovery it is rebuilt as the recovered image (the old
     // file may have had a torn tail or belong to a pre-compaction state).
-    if (!wal_->Rewrite(r->id, r->log->SerializeOpen(*ctx_->alphabet()))
-             .ok()) {
+    if (Status created =
+            wal_->Rewrite(r->id, r->log->SerializeOpen(*ctx_->alphabet()));
+        !created.ok()) {
       wal_errors_->Increment();
     }
   }
